@@ -796,6 +796,27 @@ void AcpEngine::abort_coordination(TxnId id, const std::string& why) {
   arm_response_timer(id);
 }
 
+void AcpEngine::on_worker_veto(const Msg& m, const std::string& why) {
+  stats_.add("acp.abort.worker_veto");
+  CoordTxn* ct = coord_of(m.txn);
+  if (ct == nullptr) return;
+  // The vetoing worker already aborted locally; it needs no ABORT and will
+  // send no ACK, so its veto is its acknowledgement.
+  ct->acked.insert_unique(m.from.value());
+  if (!ct->aborting) {
+    abort_coordination(m.txn, why);
+    return;
+  }
+  // The coordinator aborted first (a timeout or a reboot) and its abort
+  // round is out.  The veto may be the last acknowledgement that round
+  // waits for: no ACK will follow it, and the round's retries skip
+  // acknowledged workers, so without this check the coordination never
+  // finishes.
+  if (ct->acked.size() >= ct->txn.participants.size() - 1) {
+    on_all_acked(m.txn);
+  }
+}
+
 void AcpEngine::reply_client(CoordTxn& ct, TxnOutcome outcome) {
   if (ct.replied) return;
   ct.replied = true;
@@ -1284,13 +1305,7 @@ void AcpEngine::on_message(Envelope env) {
       on_updated(m.txn, m);
       break;
     case MsgType::kNotUpdated:
-      stats_.add("acp.abort.worker_veto");
-      // The vetoing worker already aborted locally; it needs no ABORT and
-      // will send no ACK.
-      if (CoordTxn* ct = coord_of(m.txn); ct != nullptr) {
-        ct->acked.insert_unique(m.from.value());
-      }
-      abort_coordination(m.txn, "worker rejected update");
+      on_worker_veto(m, "worker rejected update");
       break;
     case MsgType::kPrepareReq:
       worker_handle_prepare_req(m);
@@ -1303,11 +1318,7 @@ void AcpEngine::on_message(Envelope env) {
       break;
     }
     case MsgType::kNotPrepared:
-      stats_.add("acp.abort.worker_veto");
-      if (CoordTxn* ct = coord_of(m.txn); ct != nullptr) {
-        ct->acked.insert_unique(m.from.value());
-      }
-      abort_coordination(m.txn, "worker voted NOT-PREPARED");
+      on_worker_veto(m, "worker voted NOT-PREPARED");
       break;
     case MsgType::kCommit:
       worker_handle_commit(m);

@@ -201,6 +201,7 @@ class AcpEngine {
   void on_commit_durable(TxnId id);
   void on_all_acked(TxnId id);
   void abort_coordination(TxnId id, const std::string& why);
+  void on_worker_veto(const Msg& m, const std::string& why);
   void finish_coordination(TxnId id, TxnOutcome outcome);
   void reply_client(CoordTxn& ct, TxnOutcome outcome);
   void arm_response_timer(TxnId id);

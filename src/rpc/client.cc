@@ -223,10 +223,15 @@ bool RpcClient::pump(bool want_reply, double timeout_s) {
 
     pollfd p{fd_, POLLIN, 0};
     if (wr_.unread() > 0) p.events |= POLLOUT;
-    const int timeout_ms = static_cast<int>(left * 1000) + 1;
-    const int rc = ::poll(&p, 1, timeout_ms);
+    // The exact remaining time: poll()'s whole milliseconds would oversleep
+    // a sub-millisecond deadline (an open-loop generator's next arrival) by
+    // up to 1 ms.
+    const auto left_ns = static_cast<std::int64_t>(left * 1e9);
+    const timespec ts{static_cast<time_t>(left_ns / 1'000'000'000),
+                      static_cast<long>(left_ns % 1'000'000'000)};
+    const int rc = ::ppoll(&p, 1, &ts, nullptr);
     if (rc < 0 && errno != EINTR) {
-      fail(std::string("poll: ") + std::strerror(errno));
+      fail(std::string("ppoll: ") + std::strerror(errno));
       return false;
     }
   }

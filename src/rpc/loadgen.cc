@@ -11,6 +11,10 @@
 #include "rpc/client.h"
 #include "sim/rng.h"
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 namespace opc::rpc {
 namespace {
 
@@ -56,6 +60,12 @@ struct ThreadResult {
 
 void worker(const LoadgenConfig& cfg, std::uint32_t t, double start,
             ThreadResult* out) {
+#ifdef __linux__
+  // Sends are due at sub-millisecond Poisson arrivals; the default 50 us
+  // timer slack would make every wait for one oversleep (docs/RUNTIME.md
+  // "Timer precision").
+  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
   LoadgenResult& res = out->r;
   RpcClient client;
   const bool connected =

@@ -123,6 +123,7 @@ RtCluster::StormResult RtCluster::run_storm(const StormPlan& plan,
   }
   res.stats.merge(storage_stats_);
   net_.export_stats(res.stats);
+  env_.export_stats(res.stats);
   res.ops_per_second =
       wall > 0.0 ? static_cast<double>(res.committed) / wall : 0.0;
   return res;

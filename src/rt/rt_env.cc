@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <utility>
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 namespace opc {
 
 namespace {
@@ -123,6 +127,13 @@ Rng& RtEnv::rng() {
 
 void RtEnv::worker_loop(std::uint32_t index) {
   tl_worker = index;
+#ifdef __linux__
+  // Linux lets a timed wait of a normal thread oversleep by its timer slack,
+  // 50 us by default: half of a 100 us modeled hop, added to every hop,
+  // disk completion and compute cost.  1 ns leaves only the wake-up
+  // latency (docs/RUNTIME.md §4, "Timer precision").
+  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
   Worker& w = *workers_[index];
   std::unique_lock<std::mutex> lk(w.mu);
   while (true) {
@@ -140,10 +151,15 @@ void RtEnv::worker_loop(std::uint32_t index) {
       continue;
     }
     const auto deadline = start_ + std::chrono::nanoseconds(e.when_ns);
-    if (std::chrono::steady_clock::now() < deadline) {
+    const auto fire_time = std::chrono::steady_clock::now();
+    if (fire_time < deadline) {
       w.cv.wait_until(lk, deadline);
       continue;  // re-examine: an earlier timer may have arrived meanwhile
     }
+    ++w.fired;
+    w.late_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     fire_time - deadline)
+                     .count();
     std::pop_heap(w.heap.begin(), w.heap.end(), EntryLater{});
     w.heap.pop_back();
     Slot& s = w.slots[e.slot];
@@ -161,6 +177,18 @@ void RtEnv::worker_loop(std::uint32_t index) {
     pending_.fetch_sub(1, std::memory_order_seq_cst);
     lk.lock();
   }
+}
+
+void RtEnv::export_stats(StatsRegistry& stats) const {
+  std::int64_t fired = 0;
+  std::int64_t late_ns = 0;
+  for (const auto& w : workers_) {
+    std::lock_guard<std::mutex> lk(w->mu);
+    fired += w->fired;
+    late_ns += w->late_ns;
+  }
+  stats.add("rt.timer.fired", fired);
+  stats.add("rt.timer.late_ns", late_ns);
 }
 
 void RtEnv::wait_idle() {

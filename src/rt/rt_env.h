@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "env/env.h"
+#include "stats/counters.h"
 
 namespace opc {
 
@@ -78,6 +79,12 @@ class RtEnv final : public Env {
   /// Stops and joins all workers (idempotent; the destructor calls it).
   void stop();
 
+  /// Adds the dispatch counters, summed over workers, to `stats`:
+  /// rt.timer.fired (timers whose callback ran) and rt.timer.late_ns
+  /// (their summed fire time minus due time).  Cancelled timers count in
+  /// neither.  Read after wait_idle() for a complete tally.
+  void export_stats(StatsRegistry& stats) const;
+
  private:
   // A worker-slot address packs into TimerHandle::slot(): worker index in
   // the high byte, slot index in the low 24 bits.
@@ -111,6 +118,8 @@ class RtEnv final : public Env {
     std::uint32_t free_head = kNilSlot;
     std::vector<Entry> heap;  // min-heap via std::push_heap/EntryLater
     std::uint64_t next_seq = 0;
+    std::int64_t fired = 0;    // dispatch counters; see export_stats()
+    std::int64_t late_ns = 0;
     bool stopping = false;
     Rng rng;
     std::thread thread;

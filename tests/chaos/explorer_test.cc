@@ -1,6 +1,7 @@
 // Schedule exploration: generation determinism, report reproducibility,
 // systematic crash-point enumeration, and the four-protocol smoke — 50
-// random schedules per paper protocol (200 total) with every checker green.
+// random schedules per paper protocol (200 total) with every checker green,
+// and replays of schedules that once failed.
 #include <gtest/gtest.h>
 
 #include "chaos/explorer.h"
@@ -62,6 +63,37 @@ TEST(Exploration, SystematicModeEnumeratesCrashPoints) {
   EXPECT_GT(systematic, 0u);
   EXPECT_LE(systematic, 8u);
   EXPECT_EQ(r.failed, 0u);
+}
+
+// PrN schedule 3857 of exploration seed 12.  The coordinator times out
+// waiting for UPDATED and aborts; the partition drops its ABORT; the worker
+// later vetoes the update.  The veto is the worker's only acknowledgement
+// of the abort round, and the coordination used to stay open forever on
+// it ("mds0 holds 1 active coordinations").
+TEST(Regression, VetoAfterCoordinatorAbortFinishesTheAbortRound) {
+  const std::string repro =
+      "proto=PrN\n"
+      "nodes=3\n"
+      "seed=5451000016064145734\n"
+      "concurrency=6\n"
+      "dirs=4\n"
+      "run_ns=8000000000\n"
+      "fault kind=heartbeat_mute node=0 at_ns=3926306134 dur_ns=1163842465\n"
+      "fault kind=partition node=0 peer=2 at_ns=962151017 dur_ns=247858116\n"
+      "fault kind=crash node=1 at_ns=2997770991 dur_ns=865266262\n"
+      "fault kind=disk_degrade node=2 at_ns=6325750843 dur_ns=1011156216 "
+      "mag=43.076732365012546\n";
+  ChaosRunConfig cfg;
+  FaultSchedule schedule;
+  ASSERT_TRUE(parse_repro(repro, cfg, schedule));
+  ASSERT_EQ(schedule.events.size(), 4u);
+  const ChaosRunResult r = run_schedule(cfg, schedule);
+  std::string detail;
+  for (const CheckFailure& cf : r.failures) {
+    detail += "  [" + cf.oracle + "] " + cf.detail + "\n";
+  }
+  EXPECT_TRUE(r.passed) << detail;
+  EXPECT_GT(r.committed, 0u);
 }
 
 class ProtocolSmoke : public ::testing::TestWithParam<ProtocolKind> {};

@@ -7,6 +7,10 @@
 
 #include "rt/rt_env.h"
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 namespace opc {
 namespace {
 
@@ -139,6 +143,41 @@ TEST(RtEnvTest, ManyCrossWorkerHopsStayBalanced) {
   env.wait_idle();
   EXPECT_EQ(hops.load(), kHops);
 }
+
+TEST(RtEnvTest, DispatchCountersCountFiredTimersOnly) {
+  RtEnv env(3);
+  constexpr int kFired = 60;
+  std::atomic<int> ran{0};
+  std::vector<TimerHandle> doomed;
+  for (int i = 0; i < kFired; ++i) {
+    const auto w = static_cast<std::uint32_t>(i % 3);
+    env.schedule_on(w, env.now() + Duration::micros(100 * (i % 5)),
+                    [&] { ++ran; });
+    doomed.push_back(env.schedule_on(w, env.now() + Duration::seconds(30),
+                                     [&] { ++ran; }));
+  }
+  for (const TimerHandle& h : doomed) ASSERT_TRUE(env.cancel(h));
+  env.wait_idle();
+  ASSERT_EQ(ran.load(), kFired);
+  StatsRegistry stats;
+  env.export_stats(stats);
+  EXPECT_EQ(stats.get("rt.timer.fired"), kFired)
+      << "cancelled timers are not counted";
+  EXPECT_GT(stats.get("rt.timer.late_ns"), 0)
+      << "fired timers add their lateness";
+}
+
+#ifdef __linux__
+TEST(RtEnvTest, WorkersRunWithNanosecondTimerSlack) {
+  RtEnv env(3);
+  std::atomic<int> slack[3] = {-1, -1, -1};
+  for (std::uint32_t w = 0; w < env.workers(); ++w) {
+    env.post(w, [&slack, w] { slack[w].store(prctl(PR_GET_TIMERSLACK)); });
+  }
+  env.wait_idle();
+  for (const auto& s : slack) EXPECT_EQ(s.load(), 1);
+}
+#endif
 
 }  // namespace
 }  // namespace opc

@@ -103,6 +103,8 @@ Outcome run_on_rt(ProtocolKind proto, const StormPlan& plan) {
     cluster.bootstrap_directory(plan.dirs[i], NodeId(i));
   }
   RtCluster::StormResult res = cluster.run_storm(plan, kConcurrency);
+  EXPECT_GT(res.stats.get("rt.timer.fired"), 0)
+      << "RtEnv's dispatch counters must reach the storm's stats";
 
   Outcome out;
   out.committed = res.committed;
