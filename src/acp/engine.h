@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "acp/config.h"
-#include "core/arena.h"
+#include "core/pool.h"
 #include "core/flat.h"
 #include "acp/messages.h"
 #include "acp/protocol.h"

@@ -1,6 +1,6 @@
 // Process-wide memory-architecture introspection.
 //
-// The arena/pool substrate (src/core/arena.h) and the SBO message body
+// The object pools (src/core/pool.h) and the SBO message body
 // (src/env/message_body.h) report what they do here so benches and the
 // allocation gate can surface the numbers (`mem.*` rows in bench output)
 // without the hot path touching a StatsRegistry.  Counters are monotonic
@@ -15,10 +15,6 @@
 namespace opc {
 
 struct MemStats {
-  /// Bytes handed out by Arena slab allocations (cumulative).
-  std::atomic<std::int64_t> arena_bytes{0};
-  /// Number of Arena::reset() calls (slab recycling events).
-  std::atomic<std::int64_t> arena_resets{0};
   /// Objects currently parked in Pool free lists.
   std::atomic<std::int64_t> pool_free{0};
   /// MessageBody payloads that exceeded the inline buffer and spilled to

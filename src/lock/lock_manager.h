@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "core/arena.h"
+#include "core/pool.h"
 #include "core/flat.h"
 #include "env/env.h"
 #include "sim/inline_callback.h"

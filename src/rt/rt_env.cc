@@ -10,11 +10,23 @@
 namespace opc {
 
 namespace {
-// Which worker the calling thread is, for scheduling affinity.  One RtEnv
-// per process is the expected shape; with several, a thread belongs to at
-// most one of them, so a plain index is still unambiguous enough for the
-// affinity default (cross-env calls land on worker 0, which is safe).
-thread_local std::uint32_t tl_worker = 0xFFFFFFFF;
+// Which RtEnv and worker the calling thread is, for scheduling affinity and
+// for arm()'s self-notify check.  The pair matters: worker 1 of one RtEnv
+// is a driver thread to every other RtEnv.
+thread_local const RtEnv* tl_env = nullptr;
+thread_local std::uint32_t tl_worker = 0;
+
+// Ceiling on the learned lead: a host stall that makes one sleep wake very
+// late must not turn every later wait into a long spin.
+constexpr std::int64_t kMaxLeadNs = 20'000;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
 }  // namespace
 
 RtEnv::RtEnv(std::uint32_t n_workers, std::uint64_t seed)
@@ -41,6 +53,7 @@ void RtEnv::stop() {
     {
       std::lock_guard<std::mutex> lk(w->mu);
       w->stopping = true;
+      w->front_ns.store(INT64_MIN, std::memory_order_release);  // ends a poll
     }
     w->cv.notify_all();
   }
@@ -56,8 +69,7 @@ SimTime RtEnv::now() const {
 }
 
 std::uint32_t RtEnv::current_worker() const {
-  const std::uint32_t w = tl_worker;
-  return w < workers_.size() ? w : kNoWorker;
+  return tl_env == this ? tl_worker : kNoWorker;
 }
 
 TimerHandle RtEnv::schedule_at(SimTime when, Callback cb) {
@@ -76,6 +88,7 @@ TimerHandle RtEnv::arm(std::uint32_t index, SimTime when, Callback cb) {
   pending_.fetch_add(1, std::memory_order_seq_cst);
   std::uint32_t slot_idx;
   std::uint32_t gen;
+  bool new_front;
   {
     std::lock_guard<std::mutex> lk(w.mu);
     if (w.free_head != kNilSlot) {
@@ -91,10 +104,17 @@ TimerHandle RtEnv::arm(std::uint32_t index, SimTime when, Callback cb) {
     s.armed = true;
     if (s.gen == 0) s.gen = 1;  // skip the reserved "never armed" value
     gen = s.gen;
-    w.heap.push_back(Entry{when.count_nanos(), w.next_seq++, slot_idx, gen});
+    const std::uint64_t seq = w.next_seq++;
+    w.heap.push_back(Entry{when.count_nanos(), seq, slot_idx, gen});
     std::push_heap(w.heap.begin(), w.heap.end(), EntryLater{});
+    // Only a new earliest deadline changes what the worker waits for.
+    new_front = w.heap.front().seq == seq;
+    if (new_front) {
+      w.front_ns.store(when.count_nanos(), std::memory_order_release);
+    }
   }
-  w.cv.notify_all();
+  // The worker itself is running a callback, not waiting: nothing to wake.
+  if (new_front && current_worker() != index) w.cv.notify_one();
   return TimerHandle{(index << kSlotBits) | slot_idx, gen};
 }
 
@@ -126,6 +146,7 @@ Rng& RtEnv::rng() {
 }
 
 void RtEnv::worker_loop(std::uint32_t index) {
+  tl_env = this;
   tl_worker = index;
 #ifdef __linux__
   // Linux lets a timed wait of a normal thread oversleep by its timer slack,
@@ -134,11 +155,14 @@ void RtEnv::worker_loop(std::uint32_t index) {
   // latency (docs/RUNTIME.md §4, "Timer precision").
   prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
 #endif
+  using Clock = std::chrono::steady_clock;
   Worker& w = *workers_[index];
+  std::uint64_t polled_seq = UINT64_MAX;  // entry whose wait ended in a poll
   std::unique_lock<std::mutex> lk(w.mu);
   while (true) {
     if (w.stopping) return;
     if (w.heap.empty()) {
+      ++w.sleeps;
       w.cv.wait(lk);
       continue;
     }
@@ -151,12 +175,39 @@ void RtEnv::worker_loop(std::uint32_t index) {
       continue;
     }
     const auto deadline = start_ + std::chrono::nanoseconds(e.when_ns);
-    const auto fire_time = std::chrono::steady_clock::now();
+    const auto fire_time = Clock::now();
     if (fire_time < deadline) {
-      w.cv.wait_until(lk, deadline);
-      continue;  // re-examine: an earlier timer may have arrived meanwhile
+      w.front_ns.store(e.when_ns, std::memory_order_relaxed);
+      const auto wake_at = deadline - std::chrono::nanoseconds(w.lead_ns);
+      if (fire_time < wake_at) {
+        // Phase 1: sleep until the lead before the deadline.  A timed-out
+        // sleep teaches the lead how late this worker wakes.
+        ++w.sleeps;
+        if (w.cv.wait_until(lk, wake_at) == std::cv_status::timeout) {
+          const std::int64_t late = std::min<std::int64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  Clock::now() - wake_at)
+                  .count(),
+              kMaxLeadNs);
+          w.lead_ns += (late - w.lead_ns) / 8;
+        }
+        continue;  // re-examine: an earlier timer may have arrived meanwhile
+      }
+      // Phase 2: poll the clock until the deadline, unless arm() brings an
+      // earlier timer or stop() is called.
+      lk.unlock();
+      while (w.front_ns.load(std::memory_order_acquire) >= e.when_ns) {
+        if (Clock::now() >= deadline) {
+          polled_seq = e.seq;
+          break;
+        }
+        cpu_relax();
+      }
+      lk.lock();
+      continue;
     }
     ++w.fired;
+    if (e.seq == polled_seq) ++w.polled;
     w.late_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
                      fire_time - deadline)
                      .count();
@@ -182,13 +233,19 @@ void RtEnv::worker_loop(std::uint32_t index) {
 void RtEnv::export_stats(StatsRegistry& stats) const {
   std::int64_t fired = 0;
   std::int64_t late_ns = 0;
+  std::int64_t polled = 0;
+  std::int64_t sleeps = 0;
   for (const auto& w : workers_) {
     std::lock_guard<std::mutex> lk(w->mu);
     fired += w->fired;
     late_ns += w->late_ns;
+    polled += w->polled;
+    sleeps += w->sleeps;
   }
   stats.add("rt.timer.fired", fired);
   stats.add("rt.timer.late_ns", late_ns);
+  stats.add("rt.timer.polled", polled);
+  stats.add("rt.worker.sleeps", sleeps);
 }
 
 void RtEnv::wait_idle() {

@@ -13,8 +13,14 @@
 //
 // Affinity rule: schedule_at()/schedule_after() called from a worker thread
 // lands on that worker's own wheel (thread-local affinity); called from a
-// non-worker thread (the driver) it lands on worker 0.  Drivers that need a
-// specific target use post()/schedule_on().
+// non-worker thread (the driver) it lands on worker 0.  A thread is a worker
+// only of the RtEnv that spawned it: a worker of another RtEnv counts as a
+// driver here.  Drivers that need a specific target use post()/schedule_on().
+//
+// Timed waits have two phases: a worker sleeps on its condition variable
+// until the deadline minus its learned wake-up lateness (the "lead"), then
+// polls the clock for the rest, so a timer fires close to its deadline and
+// never before it.  docs/RUNTIME.md §4 ("Timer precision") has the details.
 //
 // What RtEnv does NOT promise (vs SimEnv): no global event order, no
 // deterministic tie-breaking across workers, and now() advances whether or
@@ -80,9 +86,11 @@ class RtEnv final : public Env {
   void stop();
 
   /// Adds the dispatch counters, summed over workers, to `stats`:
-  /// rt.timer.fired (timers whose callback ran) and rt.timer.late_ns
-  /// (their summed fire time minus due time).  Cancelled timers count in
-  /// neither.  Read after wait_idle() for a complete tally.
+  /// rt.timer.fired (timers whose callback ran), rt.timer.late_ns (their
+  /// summed fire time minus due time), rt.timer.polled (fired timers whose
+  /// wait ended in the poll phase) and rt.worker.sleeps (condition-variable
+  /// waits).  Cancelled timers count in none.  Read after wait_idle() for a
+  /// complete tally.
   void export_stats(StatsRegistry& stats) const;
 
  private:
@@ -120,7 +128,16 @@ class RtEnv final : public Env {
     std::uint64_t next_seq = 0;
     std::int64_t fired = 0;    // dispatch counters; see export_stats()
     std::int64_t late_ns = 0;
+    std::int64_t polled = 0;
+    std::int64_t sleeps = 0;
     bool stopping = false;
+    // Earliest deadline: set by the worker before each wait, lowered by
+    // arm() when a new timer becomes the earliest, set to the minimum by
+    // stop().  Written under `mu`; the poll phase reads it without.
+    std::atomic<std::int64_t> front_ns{INT64_MAX};
+    // EWMA of how late this worker's timed sleeps woke; touched only by
+    // the worker thread.
+    std::int64_t lead_ns = 0;
     Rng rng;
     std::thread thread;
 

@@ -1,12 +1,14 @@
-// Graceful-shutdown audit (ISSUE 6 satellite): the served cluster must
-// drain — not hang — when clients vanish mid-request and when stop() races
-// in-flight transactions.  RtEnv::wait_idle and RpcServer::stop are the
-// two waits that could deadlock; both are exercised with work actually in
-// flight on a slow modeled disk.
+// Graceful-shutdown audit: the served cluster must drain — not hang — when
+// clients vanish mid-request and when stop() races in-flight transactions.
+// RtEnv::wait_idle and RpcServer::stop are the two waits that could
+// deadlock; both are exercised with work actually in flight on a slow
+// modeled disk.  RtEnv::stop must also return when it lands while a worker
+// is polling the clock toward a deadline.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -14,6 +16,7 @@
 #include "rpc/client.h"
 #include "rpc/server.h"
 #include "rt/rt_cluster.h"
+#include "rt/rt_env.h"
 
 namespace opc::rpc {
 namespace {
@@ -138,6 +141,35 @@ TEST(RtShutdown, StopDrainsInflightBeforeReturning) {
     committed += cluster.node(NodeId(i)).engine().committed_count();
   }
   EXPECT_EQ(committed, 32u);
+}
+
+TEST(RtShutdown, EnvStopReturnsWhileWorkerPolls) {
+  for (int trial = 0; trial < 20; ++trial) {
+    RtEnv env(1);
+    // Teach the worker its wake-up lateness with a chain of short sleeps,
+    // so its later waits end in the poll phase.
+    std::atomic<int> warm{64};
+    struct Chain {
+      RtEnv* env;
+      std::atomic<int>* left;
+      void next() {
+        if (left->fetch_sub(1) <= 1) return;
+        env->schedule_after(Duration::micros(50), [this] { next(); });
+      }
+    };
+    Chain chain{&env, &warm};
+    env.post(0, [&chain] { chain.next(); });
+    env.wait_idle();
+
+    std::atomic<int> ran{0};
+    const SimTime when = env.now() + Duration::micros(20 + trial);
+    env.schedule_on(0, when, [&ran] { ran.fetch_add(1); });
+    const SimTime stop_at = when - Duration::micros(trial % 8);
+    while (env.now() < stop_at) {
+    }
+    env.stop();  // must return: the poll sees stop() and the worker exits
+    EXPECT_LE(ran.load(), 1);
+  }
 }
 
 TEST(RtShutdown, StopIsIdempotentAndStartAfterStopFailsCleanly) {
