@@ -1,5 +1,6 @@
-// Crash recovery, decision retry and the 1PC fencing path (paper §II-C,
-// §III-C).  Normal-case choreography lives in engine.cc.
+// Crash recovery, decision retry and the fencing path (paper §II-C,
+// §III-C).  Normal-case choreography lives in engine.cc; per-protocol
+// choices come from the transaction's ProtocolSpec row (acp/protocol.h).
 #include <algorithm>
 #include <map>
 
@@ -45,18 +46,23 @@ TxnOutcome ended_outcome(const std::vector<LogRecord>& recs, TxnId txn) {
   return TxnOutcome::kCommitted;
 }
 
-/// Worker-side PREPARED/COMMITTED records carry [coordinator:u32,
-/// proto:u8] so a rebooted worker knows whom to ask and how to finish.
-void parse_worker_payload(const LogRecord& rec, NodeId& coord,
-                          ProtocolKind& proto) {
-  SIM_CHECK_MSG(rec.payload.size() >= 5, "worker state record payload short");
+/// Inverse of AcpEngine::worker_record: the coordinator and protocol from
+/// the first `type` record in `recs`.
+struct WorkerPayload {
+  NodeId coord;
+  ProtocolKind proto;
+};
+WorkerPayload parse_worker_payload(const std::vector<LogRecord>& recs,
+                                   RecordType type) {
+  auto it = std::find_if(recs.begin(), recs.end(),
+                         [type](const LogRecord& r) { return r.type == type; });
+  SIM_CHECK(it != recs.end());
+  SIM_CHECK_MSG(it->payload.size() >= 5, "worker state record payload short");
   std::uint32_t c = 0;
-  for (int i = 0; i < 4; ++i) {
-    c |= static_cast<std::uint32_t>(rec.payload[static_cast<std::size_t>(i)])
-         << (8 * i);
+  for (std::size_t i = 0; i < 4; ++i) {
+    c |= static_cast<std::uint32_t>(it->payload[i]) << (8 * i);
   }
-  coord = NodeId(c);
-  proto = static_cast<ProtocolKind>(rec.payload[4]);
+  return {NodeId(c), static_cast<ProtocolKind>(it->payload[4])};
 }
 
 }  // namespace
@@ -139,7 +145,7 @@ void AcpEngine::recover_coordinator_txn(TxnId id,
       return;
 
     case RecordType::kStarted: {
-      if (proto == ProtocolKind::kOnePC) {
+      if (spec(proto).redo_at_start) {
         // Paper §III-C: re-execute from the redo record.
         stats_.add("acp.recovery.redrive");
         redrive_transaction(std::move(txn));
@@ -147,7 +153,7 @@ void AcpEngine::recover_coordinator_txn(TxnId id,
       }
       // 2PC family: the updates died with the cache; abort (paper §II-C).
       stats_.add("acp.recovery.abort_from_started");
-      if (proto == ProtocolKind::kPrA) {
+      if (!spec(proto).acked_abort) {
         // Presumed abort: notify once, forget immediately; workers that
         // missed the ABORT learn the outcome from the missing log state.
         CoordTxn tmp;
@@ -201,20 +207,15 @@ void AcpEngine::recover_coordinator_txn(TxnId id,
       // COMMITTED durable implies the stable apply already ran (they share
       // one event) and the locks were released; only the decision
       // distribution can be outstanding.
-      if (proto == ProtocolKind::kOnePC) {
-        store_.replay_committed(id, txn.participants.front().ops);
-        Msg m;
-        m.type = MsgType::kAck;
-        m.txn = id;
-        m.proto = proto;
-        send(txn.sole_worker(), std::move(m), /*extra=*/true,
-             /*critical=*/false);
+      store_.replay_committed(id, txn.participants.front().ops);
+      if (spec(proto).commit == CommitTail::kAckToWorker) {
+        send(txn.sole_worker(), make_msg(MsgType::kAck, id, proto),
+             /*extra=*/true, /*critical=*/false);
         wal_.partition().truncate_txn(id);
         finished_[id] = TxnOutcome::kCommitted;
         return;
       }
-      store_.replay_committed(id, txn.participants.front().ops);
-      if (proto == ProtocolKind::kPrC || proto == ProtocolKind::kEP) {
+      if (spec(proto).commit == CommitTail::kUnacked) {
         // Crash raced the post-decision cleanup; resend COMMIT once and
         // finalize (presumed commit needs no ACKs).
         CoordTxn tmp;
@@ -225,7 +226,7 @@ void AcpEngine::recover_coordinator_txn(TxnId id,
         finished_[id] = TxnOutcome::kCommitted;
         return;
       }
-      // PrN: keep resending COMMIT until every worker ACKs.
+      // Acked round: keep resending COMMIT until every worker ACKs.
       CoordTxn& ct = new_coord(id);
       ct.txn = std::move(txn);
       ct.proto = proto;
@@ -299,14 +300,8 @@ void AcpEngine::recover_worker_txn(TxnId id,
   switch (*state) {
     case RecordType::kPrepared: {
       stats_.add("acp.recovery.worker_prepared");
-      NodeId coord;
-      ProtocolKind proto = ProtocolKind::kPrN;
-      auto it = std::find_if(recs.begin(), recs.end(), [](const LogRecord& r) {
-        return r.type == RecordType::kPrepared;
-      });
-      SIM_CHECK(it != recs.end());
-      parse_worker_payload(*it, coord, proto);
-
+      const auto [coord, proto] =
+          parse_worker_payload(recs, RecordType::kPrepared);
       WorkTxn& wt = new_work(id);
       wt.id = id;
       wt.coord = coord;
@@ -328,15 +323,10 @@ void AcpEngine::recover_worker_txn(TxnId id,
 
     case RecordType::kCommitted: {
       stats_.add("acp.recovery.worker_committed");
-      NodeId coord;
-      ProtocolKind proto = ProtocolKind::kPrN;
-      auto it = std::find_if(recs.begin(), recs.end(), [](const LogRecord& r) {
-        return r.type == RecordType::kCommitted;
-      });
-      SIM_CHECK(it != recs.end());
-      parse_worker_payload(*it, coord, proto);
+      const auto [coord, proto] =
+          parse_worker_payload(recs, RecordType::kCommitted);
       finished_[id] = TxnOutcome::kCommitted;
-      if (proto == ProtocolKind::kOnePC) {
+      if (spec(proto).commit == CommitTail::kAckToWorker) {
         // Paper §III-C: ask the coordinator to resend the ACKNOWLEDGE so
         // the log can be finalized.
         WorkTxn& wt = new_work(id);
@@ -345,11 +335,8 @@ void AcpEngine::recover_worker_txn(TxnId id,
         wt.proto = proto;
         wt.recovered = true;
         wt.phase = WorkPhase::kCommitted;
-        Msg m;
-        m.type = MsgType::kAckReq;
-        m.txn = id;
-        m.proto = proto;
-        send(coord, std::move(m), /*extra=*/true, /*critical=*/false);
+        send(coord, make_msg(MsgType::kAckReq, id, proto), /*extra=*/true,
+             /*critical=*/false);
         arm_worker_retry(id, MsgType::kAckReq);
         return;
       }
@@ -396,10 +383,7 @@ void AcpEngine::arm_worker_retry(TxnId id, MsgType ask) {
         if (epoch != crash_epoch_) return;
         WorkTxn* w = work_of(id);
         if (w == nullptr) return;
-        Msg m;
-        m.type = ask;
-        m.txn = id;
-        m.proto = w->proto;
+        Msg m = make_msg(ask, id, w->proto);
         m.nudge = true;  // retries are never the first transmission
         send(w->coord, std::move(m), /*extra=*/true, /*critical=*/false);
         arm_worker_retry(id, ask);
@@ -411,7 +395,7 @@ void AcpEngine::suspect(NodeId peer) {
   suspected_.insert(peer);
   std::vector<TxnId> affected;
   coord_.for_each([&](TxnId id, const CoordTxn* ct) {
-    if (ct->proto == ProtocolKind::kOnePC &&
+    if (spec(ct->proto).recovery == Recovery::kFenceAndRead &&
         ct->phase == CoordPhase::kUpdating && !ct->fencing &&
         ct->txn.sole_worker() == peer) {
       affected.push_back(id);
@@ -424,11 +408,12 @@ void AcpEngine::start_fencing_recovery(TxnId id) {
   CoordTxn* ct = coord_of(id);
   if (ct == nullptr || ct->fencing || ct->aborting) return;
   SIM_CHECK_MSG(fencing_ != nullptr,
-                "1PC recovery requires a fencing service");
+                "fence-and-read recovery requires a fencing service");
   ct->fencing = true;
   env_.cancel(ct->response_timer);
   ct->response_timer = TimerHandle{};
-  // choose_protocol keeps 1PC two-party, so the fence target is unique.
+  // choose_protocol keeps commit-on-update rows two-party, so the fence
+  // target is unique.
   const NodeId worker = ct->txn.sole_worker();
   trace_.record(env_.now(), TraceKind::kRecoveryStep, self_.str(),
                 "fencing " + worker.str() + " to read its log", id);
@@ -494,27 +479,7 @@ void AcpEngine::on_worker_log_read(TxnId id, NodeId worker,
                 id);
   if (committed) {
     stats_.add("acp.onepc.fence_commit");
-    if (!ct->mem_committed) {
-      ct->mem_committed = true;
-      if (ct->recovered) {
-        store_.replay_committed(id, ct->txn.participants.front().ops);
-      } else {
-        store_.commit_mem(id);
-      }
-      locks_.release_all(id);
-      if (history_ != nullptr) history_->record_commit(id);
-      reply_client(*ct, TxnOutcome::kCommitted);
-    }
-    ct->phase = CoordPhase::kForcingCommit;
-    std::vector<LogRecord> recs = wal_.checkout_recs();
-    recs.push_back(update_record(id, ct->txn.participants.front().ops));
-    recs.push_back(state_record(RecordType::kCommitted, id));
-    const std::uint64_t epoch = crash_epoch_;
-    wal_.force(std::move(recs), WriteTag{"commit", /*critical=*/false},
-               [this, id, epoch] {
-                 if (epoch != crash_epoch_) return;
-                 on_commit_durable(id);
-               });
+    commit_after_worker(*ct);
   } else {
     stats_.add("acp.onepc.fence_abort");
     abort_coordination(id, "fenced worker had not committed");
@@ -523,52 +488,29 @@ void AcpEngine::on_worker_log_read(TxnId id, NodeId worker,
 
 void AcpEngine::handle_decision_req(const Msg& m) {
   const TxnId id = m.txn;
+  Msg r = make_msg(MsgType::kDecision, id, m.proto);
   if (CoordTxn* ct = coord_of(id); ct != nullptr) {
+    r.proto = ct->proto;
     if (ct->aborting) {
-      Msg r;
-      r.type = MsgType::kDecision;
-      r.txn = id;
-      r.proto = ct->proto;
       r.outcome = TxnOutcome::kAborted;
-      send(m.from, std::move(r), /*extra=*/true, /*critical=*/false);
-      return;
-    }
-    if (ct->phase == CoordPhase::kWaitingAcks || ct->mem_committed) {
-      Msg r;
-      r.type = MsgType::kDecision;
-      r.txn = id;
-      r.proto = ct->proto;
+    } else if (ct->phase == CoordPhase::kWaitingAcks || ct->mem_committed) {
       r.outcome = TxnOutcome::kCommitted;
-      send(m.from, std::move(r), /*extra=*/true, /*critical=*/false);
-      return;
+    } else {
+      if (ct->phase == CoordPhase::kVoting) {
+        // A DECISION_REQ proves the worker prepared (its vote got lost).
+        ct->prepared.insert_unique(m.from.value());
+        maybe_commit(id);
+      }
+      return;  // undecided; the worker keeps retrying
     }
-    if (ct->phase == CoordPhase::kVoting) {
-      // A DECISION_REQ proves the worker prepared (its vote got lost).
-      ct->prepared.insert_unique(m.from.value());
-      maybe_commit(id);
-    }
-    return;  // undecided; the worker keeps retrying
-  }
-  if (const TxnOutcome* fin = finished_.find(id); fin != nullptr) {
-    Msg r;
-    r.type = MsgType::kDecision;
-    r.txn = id;
-    r.proto = m.proto;
+  } else if (const TxnOutcome* fin = finished_.find(id); fin != nullptr) {
     r.outcome = *fin;
-    send(m.from, std::move(r), /*extra=*/true, /*critical=*/false);
-    return;
+  } else {
+    // No trace of the transaction: apply the protocol's presumption
+    // (paper §II-D: a finalized PrC log means commit; PrN presumes abort).
+    r.outcome = spec(m.proto).presume;
+    stats_.add("acp.decision.presumed");
   }
-  // No trace of the transaction: apply the protocol's presumption
-  // (paper §II-D: a finalized PrC log means commit; PrN presumes abort).
-  Msg r;
-  r.type = MsgType::kDecision;
-  r.txn = id;
-  r.proto = m.proto;
-  r.outcome = (m.proto == ProtocolKind::kPrN ||
-               m.proto == ProtocolKind::kPrA)
-                  ? TxnOutcome::kAborted
-                  : TxnOutcome::kCommitted;
-  stats_.add("acp.decision.presumed");
   send(m.from, std::move(r), /*extra=*/true, /*critical=*/false);
 }
 
@@ -579,11 +521,7 @@ void AcpEngine::handle_decision(const Msg& m) {
   env_.cancel(wt->retry_timer);
   wt->retry_timer = TimerHandle{};
   if (m.outcome == TxnOutcome::kCommitted) {
-    worker_commit(id,
-                  /*forced_record=*/wt->proto == ProtocolKind::kPrN ||
-                      wt->proto == ProtocolKind::kPrA ||
-                      wt->proto == ProtocolKind::kOnePC,
-                  /*reply_updated=*/false);
+    worker_commit(id);
   } else {
     SIM_CHECK_MSG(!store_.stable_applied(id),
                   "abort decision for a transaction already stable");
@@ -600,11 +538,8 @@ void AcpEngine::handle_ack_req(const Msg& m) {
   const TxnId id = m.txn;
   if (coord_of(id) != nullptr) return;  // still committing; ACK will follow
   // Finished or forgotten: either way the worker may finalize.
-  Msg r;
-  r.type = MsgType::kAck;
-  r.txn = id;
-  r.proto = m.proto;
-  send(m.from, std::move(r), /*extra=*/true, /*critical=*/false);
+  send(m.from, make_msg(MsgType::kAck, id, m.proto), /*extra=*/true,
+       /*critical=*/false);
 }
 
 void AcpEngine::maybe_finish_recovery() {
@@ -620,16 +555,7 @@ void AcpEngine::maybe_finish_recovery() {
     const TxnId id = txn.id;
     stats_.add("acp.submitted");
     if (coord_.contains(id)) continue;
-    CoordTxn& ct = new_coord(id);
-    ct.txn = std::move(txn);
-    ct.proto = choose_protocol(proto_, ct.txn.n_participants());
-    if (ct.txn.n_participants() > 2) {
-      stats_.add("acp.txn.wide");
-      if (ct.proto != proto_) stats_.add("acp.onepc.degraded");
-    }
-    ct.cb = std::move(cb);
-    ct.submitted = env_.now();
-    start_coordination(ct);
+    admit(std::move(txn), std::move(cb));
   }
   if (recovery_done_cb_) {
     auto cb = std::move(recovery_done_cb_);

@@ -4,8 +4,9 @@
 // subset):
 //
 //   kUpdateReq   coordinator -> worker   carry the worker's operations;
-//                                        flags select EP piggybacked
-//                                        prepare / 1PC piggybacked commit.
+//                                        the protocol's UpdateAction says
+//                                        whether the worker also prepares
+//                                        (EP) or commits (1PC).
 //   kUpdated     worker -> coordinator   updates done; `prepared`/`committed`
 //                                        report piggybacked outcomes.
 //   kNotUpdated  worker -> coordinator   worker vetoes (validation or lock
@@ -52,13 +53,20 @@ struct Msg {
   NodeId from;
   ProtocolKind proto = ProtocolKind::kPrN;
   std::vector<Operation> ops;     // kUpdateReq / kPrepareReq(resend) payload
-  bool piggyback_prepare = false;  // kUpdateReq: EP semantics
-  bool piggyback_commit = false;   // kUpdateReq: 1PC semantics
   bool prepared = false;           // kUpdated: EP worker already prepared
   bool committed = false;          // kUpdated: 1PC worker already committed
   bool nudge = false;              // retry copy, not the first transmission
   TxnOutcome outcome = TxnOutcome::kPending;  // kDecision
 };
+
+/// A message with only its header fields set.
+[[nodiscard]] inline Msg make_msg(MsgType type, TxnId txn, ProtocolKind proto) {
+  Msg m;
+  m.type = type;
+  m.txn = txn;
+  m.proto = proto;
+  return m;
+}
 
 /// Approximate wire size for the network cost model.
 [[nodiscard]] std::uint64_t msg_wire_size(const Msg& m);

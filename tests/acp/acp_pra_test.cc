@@ -94,52 +94,88 @@ TEST(PresumedAbort, AbsenceOfInformationMeansAbort) {
       << "the prepared worker resolved via presumption";
 }
 
-TEST(PresumedAbort, MultiWorkerAbortIsCheaperThanPrN) {
-  // A three-participant RENAME where one worker vetoes: the innocent
-  // bystander worker still needs the ABORT, but under PrA it sends no ACK
-  // and the coordinator logs nothing — strictly fewer messages than PrN.
-  auto run_abort = [](ProtocolKind proto) {
-    Simulator sim;
-    StatsRegistry stats;
-    TraceRecorder trace(false);
+// A three-participant RENAME where one worker vetoes: mds0 coordinates,
+// mds1 (destination directory) vetoes because the target name exists, and
+// mds2 (the moved inode's SetAttr) is the innocent bystander that updates
+// and then needs the ABORT.  Each run() submits it once more.
+struct VetoedRename {
+  Simulator sim;
+  StatsRegistry stats;
+  TraceRecorder trace{false};
+  std::unique_ptr<Cluster> cluster;
+  IdAllocator ids;
+  PinnedPartitioner part{3, NodeId(2)};
+  std::unique_ptr<NamespacePlanner> planner;
+  ObjectId src_dir, dst_dir, moved;
+
+  explicit VetoedRename(ProtocolKind proto) {
     ClusterConfig cc;
     cc.n_nodes = 3;
     cc.protocol = proto;
-    Cluster cluster(sim, cc, stats, trace);
-    IdAllocator ids;
-    PinnedPartitioner part(3, NodeId(2));
-    const ObjectId src_dir = ids.next();   // mds0 (coordinator)
-    const ObjectId dst_dir = ids.next();   // mds1 (will veto)
-    const ObjectId moved = ids.next();     // mds2 (innocent SetAttr)
+    cluster = std::make_unique<Cluster>(sim, cc, stats, trace);
+    src_dir = ids.next();   // mds0 (coordinator)
+    dst_dir = ids.next();   // mds1 (will veto)
+    moved = ids.next();     // mds2 (innocent SetAttr)
     part.assign(src_dir, NodeId(0));
     part.assign(dst_dir, NodeId(1));
     part.assign(moved, NodeId(2));
-    cluster.bootstrap_directory(src_dir, NodeId(0));
-    cluster.bootstrap_directory(dst_dir, NodeId(1));
-    cluster.store(NodeId(0)).bootstrap_dentry(src_dir, "a", moved);
-    cluster.store(NodeId(2)).bootstrap_inode(Inode{moved, false, 1, 0});
+    cluster->bootstrap_directory(src_dir, NodeId(0));
+    cluster->bootstrap_directory(dst_dir, NodeId(1));
+    cluster->store(NodeId(0)).bootstrap_dentry(src_dir, "a", moved);
+    cluster->store(NodeId(2)).bootstrap_inode(Inode{moved, false, 1, 0});
     // The destination name already exists -> AddDentry vetoes at mds1.
     const ObjectId squatter = ids.next();
     part.assign(squatter, NodeId(2));
-    cluster.store(NodeId(1)).bootstrap_dentry(dst_dir, "b", squatter);
-    cluster.store(NodeId(2)).bootstrap_inode(Inode{squatter, false, 1, 0});
+    cluster->store(NodeId(1)).bootstrap_dentry(dst_dir, "b", squatter);
+    cluster->store(NodeId(2)).bootstrap_inode(Inode{squatter, false, 1, 0});
+    planner = std::make_unique<NamespacePlanner>(part, OpCosts{});
+  }
 
-    NamespacePlanner planner(part, OpCosts{});
+  TxnOutcome run() {
     TxnOutcome outcome = TxnOutcome::kPending;
-    cluster.submit(
-        planner.plan_rename(src_dir, "a", dst_dir, "b", moved, std::nullopt),
+    cluster->submit(
+        planner->plan_rename(src_dir, "a", dst_dir, "b", moved, std::nullopt),
         [&](TxnId, TxnOutcome o) { outcome = o; });
     sim.run();
-    EXPECT_EQ(outcome, TxnOutcome::kAborted) << protocol_name(proto);
+    return outcome;
+  }
+};
+
+TEST(PresumedAbort, MultiWorkerAbortIsCheaperThanPrN) {
+  // The innocent bystander worker still needs the ABORT, but under PrA it
+  // sends no ACK and the coordinator logs nothing — strictly fewer messages
+  // than PrN.
+  auto run_abort = [](ProtocolKind proto) {
+    VetoedRename f(proto);
+    EXPECT_EQ(f.run(), TxnOutcome::kAborted) << protocol_name(proto);
     EXPECT_TRUE(
-        cluster.check_invariants({src_dir, dst_dir}).empty());
-    return stats.get("acp.msg.total");
+        f.cluster->check_invariants({f.src_dir, f.dst_dir}).empty());
+    return f.stats.get("acp.msg.total");
   };
   const std::int64_t pra_msgs = run_abort(ProtocolKind::kPrA);
   const std::int64_t prn_msgs = run_abort(ProtocolKind::kPrN);
   EXPECT_LT(pra_msgs, prn_msgs)
       << "PrA abort must save the ACK round (PrA=" << pra_msgs
       << " PrN=" << prn_msgs << ")";
+}
+
+TEST(PresumedAbort, WorkerAbortReturnsWorkerStateToPool) {
+  // The bystander's worker state must go back to the engine's pool when
+  // the ABORT arrives, so K aborts allocate no more of it than one does.
+  VetoedRename f(ProtocolKind::kPrA);
+  const AcpEngine& bystander = f.cluster->engine(NodeId(2));
+  ASSERT_EQ(f.run(), TxnOutcome::kAborted);
+  const std::size_t created = bystander.work_pool_created();
+  constexpr int kRepeats = 20;
+  for (int k = 0; k < kRepeats; ++k) {
+    ASSERT_EQ(f.run(), TxnOutcome::kAborted);
+  }
+  EXPECT_EQ(f.stats.get("acp.worker.aborts"), kRepeats + 1)
+      << "every run must abort a worker that holds state";
+  EXPECT_EQ(bystander.active_participations(), 0u);
+  EXPECT_EQ(bystander.work_pool_created(), created)
+      << "a PrA worker abort leaked its pooled WorkTxn";
+  EXPECT_TRUE(f.cluster->check_invariants({f.src_dir, f.dst_dir}).empty());
 }
 
 }  // namespace
