@@ -227,8 +227,7 @@ class AcpEngine {
   void worker_veto(TxnId id, MsgType reply_type, const std::string& why);
 
   // ---- recovery (engine_recovery.cc) ----
-  void recover_from_records(const std::vector<LogRecord>& records,
-                            std::function<void()> on_done);
+  void recover_from_records(const std::vector<LogRecord>& records);
   void recover_coordinator_txn(TxnId id, const std::vector<LogRecord>& recs);
   void recover_worker_txn(TxnId id, const std::vector<LogRecord>& recs);
   void redrive_transaction(Transaction txn);

@@ -82,12 +82,11 @@ void AcpEngine::recover(std::function<void()> on_done) {
   storage_.read_partition(self_, self_,
                           [this, epoch](std::vector<LogRecord> recs) {
                             if (epoch != crash_epoch_ || crashed_) return;
-                            recover_from_records(recs, nullptr);
+                            recover_from_records(recs);
                           });
 }
 
-void AcpEngine::recover_from_records(const std::vector<LogRecord>& records,
-                                     std::function<void()> /*unused*/) {
+void AcpEngine::recover_from_records(const std::vector<LogRecord>& records) {
   // Group per transaction, preserving first-appearance (== arrival) order so
   // re-driven transactions respect the paper's §III-D ordering rule.
   std::vector<TxnId> order;

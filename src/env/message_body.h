@@ -5,7 +5,7 @@
 // every in-process delivery.  MessageBody is the std::any shape cut down
 // to what a transport needs: move-only, type-checked access, and a small
 // inline buffer sized for the closed protocol vocabulary (acp::Msg,
-// FsRpc, FsRpcReply — all ≤ 72 bytes), mirroring InlineCallback's
+// ≤ 72 bytes), mirroring InlineCallback's
 // small-buffer design on the kernel side.  Payloads that outgrow the
 // buffer still work (boxed, counted under mem.sbo_spills) so the type
 // stays general.

@@ -5,7 +5,7 @@
 // (src/net) implements it over one Simulator with the paper's delay model
 // and failure injection; RtTransport (src/rt) implements it as an
 // in-process MPSC loopback between worker threads, applying the same
-// NetworkConfig delay model as real sleeps.
+// LinkModel (net/link_model.h) as real timer waits.
 //
 // The payload travels as a MessageBody — a small-buffer type-erased box
 // (env/message_body.h): transports are deliberately ignorant of protocol

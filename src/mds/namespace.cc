@@ -160,15 +160,4 @@ Transaction NamespacePlanner::plan_stat(ObjectId inode) {
   return txn;
 }
 
-Transaction NamespacePlanner::plan_setattr(ObjectId inode) {
-  SIM_CHECK(inode.valid());
-  const NodeId coord = part_.home_of(inode);
-  Transaction txn;
-  txn.kind = NamespaceOpKind::kCustom;
-  add_op(txn, coord, coord,
-         Operation{OpType::kSetAttr, inode, kNoObject, "",
-                   costs_.inode_log_bytes, costs_.method_compute});
-  return txn;
-}
-
 }  // namespace opc

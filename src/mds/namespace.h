@@ -69,9 +69,6 @@ class NamespacePlanner {
                                         ObjectId inode,
                                         std::optional<ObjectId> overwritten);
 
-  /// Local attribute touch (always single-participant).
-  [[nodiscard]] Transaction plan_setattr(ObjectId inode);
-
   /// Read-only attribute lookup (stat): single participant, shared lock,
   /// no log writes at all — the engine's read fast path.
   [[nodiscard]] Transaction plan_stat(ObjectId inode);

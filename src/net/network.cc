@@ -1,6 +1,5 @@
 #include "net/network.h"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -28,7 +27,7 @@ void Network::send(Envelope env) {
     }
     return;
   }
-  if (cfg_.loss_probability > 0.0 && rng_.bernoulli(cfg_.loss_probability)) {
+  if (loss_probability_ > 0.0 && rng_.bernoulli(loss_probability_)) {
     stats_.add("net.dropped.loss");
     if (trace_.active()) {
       trace_.record(env_.now(), TraceKind::kMessageDrop, env.from.str(),
@@ -45,24 +44,8 @@ void Network::send(Envelope env) {
     return;
   }
 
-  Duration delay = cfg_.latency;
-  if (cfg_.bytes_per_second > 0.0) {
-    delay += Duration::from_seconds_f(static_cast<double>(env.size_bytes) /
-                                      cfg_.bytes_per_second);
-  }
-  if (cfg_.jitter_max > Duration::zero()) {
-    delay += Duration::nanos(static_cast<std::int64_t>(rng_.uniform(
-        0.0, static_cast<double>(cfg_.jitter_max.count_nanos()))));
-  }
-
-  SimTime when = env_.now() + delay;
-  // FIFO per directed channel: never deliver before an earlier message on
-  // the same channel.
-  const std::uint64_t ch = key(env.from, env.to);
-  if (auto it = channel_clock_.find(ch); it != channel_clock_.end()) {
-    when = std::max(when, it->second + Duration::nanos(1));
-  }
-  channel_clock_[ch] = when;
+  const SimTime when =
+      link_.arrival(env_.now(), env.from, env.to, env.size_bytes, rng_);
 
   // Box the envelope: a 16-byte {this, unique_ptr} capture stays on the
   // kernel's allocation-free inline-callback path.  Boxes are recycled

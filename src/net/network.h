@@ -1,10 +1,9 @@
 // Simulated cluster interconnect.
 //
-// The Network delivers typed envelopes between nodes with a configurable
-// one-way latency (the paper's experiments use 100 µs) plus an optional
-// per-byte cost.  Per-(source, destination) channels are FIFO: even with
-// jitter enabled a later send never overtakes an earlier one, matching the
-// in-order links the commit protocols assume.
+// The Network delivers typed envelopes between nodes after the delay of
+// the shared LinkModel (net/link_model.h): a one-way latency (the paper's
+// experiments use 100 µs), an optional per-byte cost and jitter, FIFO per
+// (source, destination) channel.
 //
 // Failure modeling:
 //   * Partitions — directed node pairs can be severed; messages crossing a
@@ -29,6 +28,7 @@
 
 #include "env/env.h"
 #include "env/transport.h"
+#include "net/link_model.h"
 #include "net/types.h"
 #include "sim/rng.h"
 #include "sim/trace.h"
@@ -36,22 +36,15 @@
 
 namespace opc {
 
-struct NetworkConfig {
-  Duration latency = Duration::micros(100);  // one-way, paper's value
-  double bytes_per_second = 0;               // 0 = latency-only model
-  Duration jitter_max = Duration::zero();    // uniform extra delay in [0,max]
-  double loss_probability = 0.0;             // applied per message
-};
-
 class Network final : public Transport {
  public:
   using Handler = Transport::Handler;
 
   Network(Env& env, NetworkConfig cfg, StatsRegistry& stats,
           TraceRecorder& trace, std::uint64_t seed = 1)
-      : env_(env), cfg_(cfg), stats_(stats), trace_(trace),
-        rng_(seed, /*stream=*/0xA11CE), c_sent_(stats, "net.sent"),
-        c_delivered_(stats, "net.delivered") {}
+      : env_(env), link_(cfg), loss_probability_(cfg.loss_probability),
+        stats_(stats), trace_(trace), rng_(seed, /*stream=*/0xA11CE),
+        c_sent_(stats, "net.sent"), c_delivered_(stats, "net.delivered") {}
 
   /// Attaches the receive handler for a node; replaces any previous one.
   /// A node with no handler (never attached, or detached by a crash) drops
@@ -91,15 +84,13 @@ class Network final : public Transport {
     drop_filter_ = std::move(filter);
   }
 
-  [[nodiscard]] const NetworkConfig& config() const { return cfg_; }
-
   // --- Runtime fault injection (chaos nemesis) ---
   /// Changes the per-message loss probability from now on; draws stay on
   /// this network's RNG stream, so runs remain seed-deterministic.
-  void set_loss_probability(double p) { cfg_.loss_probability = p; }
+  void set_loss_probability(double p) { loss_probability_ = p; }
   /// Changes the uniform extra-delay bound from now on.  FIFO per channel
   /// is still enforced, so jitter reorders nothing within a link.
-  void set_jitter_max(Duration j) { cfg_.jitter_max = j; }
+  void set_jitter_max(Duration j) { link_.set_jitter_max(j); }
 
  private:
   static std::uint64_t key(NodeId a, NodeId b) {
@@ -109,7 +100,8 @@ class Network final : public Transport {
   void deliver(Envelope env);
 
   Env& env_;
-  NetworkConfig cfg_;
+  LinkModel link_;
+  double loss_probability_;
   StatsRegistry& stats_;
   TraceRecorder& trace_;
   Rng rng_;
@@ -118,9 +110,6 @@ class Network final : public Transport {
   std::function<bool(const Envelope&)> drop_filter_;
   std::unordered_map<NodeId, Handler> handlers_;
   std::unordered_set<std::uint64_t> severed_;
-  // Last scheduled delivery time per directed channel, for FIFO enforcement
-  // under jitter.
-  std::unordered_map<std::uint64_t, SimTime> channel_clock_;
   // Recycled envelope boxes for in-flight messages: a send pops a box (or
   // allocates the first few), the delivery callback returns it.  Steady
   // state moves envelopes through without touching the heap.

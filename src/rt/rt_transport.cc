@@ -1,6 +1,5 @@
 #include "rt/rt_transport.h"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -27,27 +26,11 @@ bool RtTransport::attached(NodeId node) const {
 void RtTransport::send(Envelope env) {
   sent_.fetch_add(1, std::memory_order_relaxed);
 
-  Duration delay = cfg_.latency;
-  if (cfg_.bytes_per_second > 0.0) {
-    delay += Duration::from_seconds_f(static_cast<double>(env.size_bytes) /
-                                      cfg_.bytes_per_second);
-  }
-
   const std::uint32_t dest = env.to.value();
   SimTime when;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (cfg_.jitter_max > Duration::zero()) {
-      delay += Duration::nanos(static_cast<std::int64_t>(rng_.uniform(
-          0.0, static_cast<double>(cfg_.jitter_max.count_nanos()))));
-    }
-    when = env_.now() + delay;
-    // FIFO per directed channel, same +1ns rule as the simulated Network.
-    const std::uint64_t ch = key(env.from, env.to);
-    if (auto it = channel_clock_.find(ch); it != channel_clock_.end()) {
-      when = std::max(when, it->second + Duration::nanos(1));
-    }
-    channel_clock_[ch] = when;
+    when = link_.arrival(env_.now(), env.from, env.to, env.size_bytes, rng_);
   }
 
   auto boxed = std::make_unique<Envelope>(std::move(env));

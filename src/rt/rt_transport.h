@@ -1,12 +1,12 @@
 // In-process loopback Transport between RtEnv workers.
 //
-// Send-side, this is the simulated Network's delay model made real: one-way
-// latency, optional per-byte cost, optional uniform jitter, and FIFO per
-// directed channel (a later send never overtakes an earlier one on the same
-// link).  Instead of advancing a virtual clock, the delay becomes a real
-// timer on the *destination* node's worker, so a message delivery executes
-// on the same thread as everything else that node does — the engines stay
-// single-threaded per node, exactly as under the simulator.
+// Send-side, this is the simulated Network's LinkModel (net/link_model.h)
+// made real: one-way latency, optional per-byte cost, optional uniform
+// jitter, and FIFO per directed channel.  Instead of advancing a virtual
+// clock, the arrival time becomes a real timer on the *destination* node's
+// worker, so a message delivery executes on the same thread as everything
+// else that node does — the engines stay single-threaded per node, exactly
+// as under the simulator.
 //
 // Failure injection (partitions, loss) is not carried over: the rt backend
 // runs live quiescent storms (docs/RUNTIME.md §4); chaos stays on the
@@ -19,9 +19,10 @@
 #include <unordered_map>
 
 #include "env/transport.h"
-#include "net/network.h"  // NetworkConfig
+#include "net/link_model.h"
 #include "rt/rt_env.h"
 #include "sim/rng.h"
+#include "stats/counters.h"
 
 namespace opc {
 
@@ -29,7 +30,7 @@ class RtTransport final : public Transport {
  public:
   /// Node ids map 1:1 onto env workers: node i's handler runs on worker i.
   RtTransport(RtEnv& env, NetworkConfig cfg, std::uint64_t seed = 1)
-      : env_(env), cfg_(cfg), rng_(seed, /*stream=*/0xA11CE) {}
+      : env_(env), link_(cfg), rng_(seed, /*stream=*/0xA11CE) {}
 
   void attach(NodeId node, Handler handler) override;
   void detach(NodeId node) override;
@@ -41,18 +42,13 @@ class RtTransport final : public Transport {
   void export_stats(StatsRegistry& stats) const;
 
  private:
-  static std::uint64_t key(NodeId a, NodeId b) {
-    return (static_cast<std::uint64_t>(a.value()) << 32) | b.value();
-  }
-
   void deliver(Envelope env);
 
   RtEnv& env_;
-  NetworkConfig cfg_;
-  mutable std::mutex mu_;  // guards rng_, handlers_, channel_clock_
+  mutable std::mutex mu_;  // guards link_, rng_, handlers_
+  LinkModel link_;
   Rng rng_;
   std::unordered_map<NodeId, Handler> handlers_;
-  std::unordered_map<std::uint64_t, SimTime> channel_clock_;
 
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> delivered_{0};

@@ -136,35 +136,21 @@ void LogWriter::schedule_lazy_flush() {
     if (lazy_buf_.empty() || crashed_ || part_.fenced()) return;
     auto recs = std::move(lazy_buf_);
     lazy_buf_.clear();
-    if (cfg_.lazy_flush_occupies_device) {
-      std::uint64_t bytes = 0;
-      for (const auto& r : recs) bytes += r.modeled_bytes;
-      const std::uint64_t epoch = crash_epoch_;
-      std::string label;
-      if (trace_.active()) label = "lazyflush:" + owner_.str();
-      part_.device().write(owner_, padded(bytes), std::move(label),
-                           [this, epoch, recs = std::move(recs)]() mutable {
-                             if (epoch != crash_epoch_ || crashed_) return;
-                             part_.append_durable(recs);
-                             recycle_recs(std::move(recs));
-                           });
-    } else {
-      // Background flush modeled as free: the device would absorb these in
-      // idle gaps; see DESIGN.md §5 (asynchronous writes coalesce).  The
-      // device is only idle if no force is outstanding — flushing past a
-      // queued force would reorder the durable log (a real WAL appends in
-      // LSN order), so re-buffer and retry after the force completes.
-      if (outstanding_forces_ > 0) {
-        lazy_buf_.insert(lazy_buf_.begin(),
-                         std::make_move_iterator(recs.begin()),
-                         std::make_move_iterator(recs.end()));
-        recycle_recs(std::move(recs));
-        schedule_lazy_flush();
-        return;
-      }
-      part_.append_durable(recs);
+    // Background flush modeled as free: the device would absorb these in
+    // idle gaps; see DESIGN.md §5 (asynchronous writes coalesce).  The
+    // device is only idle if no force is outstanding — flushing past a
+    // queued force would reorder the durable log (a real WAL appends in
+    // LSN order), so re-buffer and retry after the force completes.
+    if (outstanding_forces_ > 0) {
+      lazy_buf_.insert(lazy_buf_.begin(),
+                       std::make_move_iterator(recs.begin()),
+                       std::make_move_iterator(recs.end()));
       recycle_recs(std::move(recs));
+      schedule_lazy_flush();
+      return;
     }
+    part_.append_durable(recs);
+    recycle_recs(std::move(recs));
   };
   OPC_ASSERT_INLINE_CB(flush_cb);
   lazy_flush_timer_ =

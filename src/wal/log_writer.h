@@ -31,7 +31,6 @@ struct WalConfig {
   std::uint64_t force_pad_to = 8192;        // device block; 0 = no padding
   bool group_commit = false;                // coalesce concurrent forces
   Duration lazy_flush_interval = Duration::millis(10);
-  bool lazy_flush_occupies_device = false;  // background flush cost model
 };
 
 /// Classification attached to each log write, consumed by the Table I
