@@ -76,7 +76,7 @@ void BM_LockAcquireRelease(benchmark::State& state) {
   LockManager lm(env, "bench", stats, trace);
   std::uint64_t txn = 1;
   for (auto _ : state) {
-    lm.acquire(txn, txn % 64, LockMode::kExclusive, [] {});
+    lm.acquire(txn, txn % 64, [] {});
     lm.release_all(txn);
     ++txn;
   }

@@ -83,20 +83,6 @@ std::optional<TxnOutcome> AcpEngine::outcome_of(TxnId txn) const {
   return *p;
 }
 
-LockMode AcpEngine::mode_for(const std::vector<Operation>& ops, ObjectId obj) {
-  for (const Operation& op : ops) {
-    if (op.target == obj && !op_is_read(op.type)) return LockMode::kExclusive;
-  }
-  return LockMode::kShared;
-}
-
-std::vector<ObjectId> AcpEngine::sorted_objects(
-    const std::vector<Operation>& ops) const {
-  std::vector<ObjectId> out;
-  sorted_objects_into(ops, out);
-  return out;
-}
-
 void AcpEngine::sorted_objects_into(const std::vector<Operation>& ops,
                                     std::vector<ObjectId>& out) const {
   out.clear();
@@ -124,8 +110,7 @@ void AcpEngine::record_accesses(TxnId txn,
   if (store_.stable_applied(txn)) return;
   for (const Operation& op : ops) {
     if (op.target.valid()) {
-      history_->record_access(txn, op.target, !op_is_read(op.type),
-                              env_.now(), self_.value());
+      history_->record_access(txn, op.target, env_.now(), self_.value());
     }
   }
 }
@@ -273,10 +258,9 @@ void AcpEngine::acquire_next_lock(TxnId id) {
     return;
   }
   const ObjectId obj = ct->lock_objs[ct->locks_granted];
-  const LockMode mode = mode_for(ct->txn.participants.front().ops, obj);
   const std::uint64_t epoch = crash_epoch_;
   locks_.acquire(
-      id, obj.value(), mode,
+      id, obj.value(),
       [this, id, epoch] {
         if (epoch != crash_epoch_) return;
         CoordTxn* c = coord_of(id);
@@ -322,25 +306,10 @@ void AcpEngine::run_local_fastpath(TxnId id) {
     }
   }
   Duration compute = Duration::zero();
-  bool read_only = true;
   for (const Operation& op : ct->txn.participants.front().ops) {
     compute += op.compute;
-    read_only = read_only && op_is_read(op.type);
   }
   const std::uint64_t epoch = crash_epoch_;
-  if (read_only) {
-    // Read fast path: shared locks were enough, nothing to log.
-    env_.schedule_after(compute, [this, id, epoch] {
-      if (epoch != crash_epoch_) return;
-      CoordTxn* c = coord_of(id);
-      if (c == nullptr) return;
-      stats_.add("acp.local.read_only");
-      locks_.release_all(id);
-      reply_client(*c, TxnOutcome::kCommitted);
-      finish_coordination(id, TxnOutcome::kCommitted);
-    });
-    return;
-  }
   env_.schedule_after(compute, [this, id, epoch] {
     if (epoch != crash_epoch_) return;
     CoordTxn* c = coord_of(id);
@@ -899,10 +868,9 @@ void AcpEngine::worker_acquire_next_lock(TxnId id) {
     return;
   }
   const ObjectId obj = wt->lock_objs[wt->locks_granted];
-  const LockMode mode = mode_for(wt->ops, obj);
   const std::uint64_t epoch = crash_epoch_;
   locks_.acquire(
-      id, obj.value(), mode,
+      id, obj.value(),
       [this, id, epoch] {
         if (epoch != crash_epoch_) return;
         WorkTxn* w = work_of(id);

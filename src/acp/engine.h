@@ -259,11 +259,8 @@ class AcpEngine {
   /// Worker PREPARED/COMMITTED: [coordinator:u32, proto:u8] payload, so a
   /// rebooted worker knows whom to ask and how to finish.
   [[nodiscard]] LogRecord worker_record(RecordType t, const WorkTxn& wt) const;
-  [[nodiscard]] static LockMode mode_for(const std::vector<Operation>& ops,
-                                         ObjectId obj);
-  [[nodiscard]] std::vector<ObjectId> sorted_objects(
-      const std::vector<Operation>& ops) const;
-  /// Allocation-free variant: refills `out` in place, reusing its capacity.
+  /// The distinct objects `ops` touch, in canonical lock order; refills
+  /// `out` in place, reusing its capacity.
   void sorted_objects_into(const std::vector<Operation>& ops,
                            std::vector<ObjectId>& out) const;
   void record_accesses(TxnId txn, const std::vector<Operation>& ops);

@@ -26,7 +26,54 @@ bool parse_protocol(const std::string& s, ProtocolKind& out) {
   return false;
 }
 
+ClusterConfig cluster_config(const ChaosRunConfig& cfg,
+                             obs::PhaseLog* phase_log) {
+  ClusterConfig cc;
+  cc.n_nodes = cfg.n_nodes;
+  cc.protocol = cfg.protocol;
+  cc.seed = cfg.seed;
+  cc.record_history = true;
+  cc.acp.response_timeout = Duration::millis(300);
+  cc.acp.retry_interval = Duration::millis(100);
+  cc.acp.unsafe_skip_fencing = cfg.unsafe_skip_fencing;
+  cc.heartbeat.enabled = true;
+  cc.heartbeat.interval = Duration::millis(50);
+  cc.heartbeat.suspicion_timeout = Duration::millis(250);
+  cc.phase_log = phase_log;
+  return cc;
+}
+
+std::vector<ObjectId> bootstrap_dirs(Cluster& cluster, IdAllocator& ids,
+                                     const Partitioner& part,
+                                     std::uint32_t n_dirs) {
+  std::vector<ObjectId> dirs;
+  for (std::uint32_t i = 0; i < n_dirs; ++i) {
+    const ObjectId dir = ids.next();
+    dirs.push_back(dir);
+    cluster.bootstrap_directory(dir, part.home_of(dir));
+  }
+  return dirs;
+}
+
+SourceConfig source_config(const ChaosRunConfig& cfg) {
+  SourceConfig scfg;
+  scfg.concurrency = cfg.concurrency;
+  scfg.client_timeout = Duration::seconds(1);
+  return scfg;
+}
+
 }  // namespace
+
+ChaosWorkload::ChaosWorkload(Simulator& sim, const ChaosRunConfig& cfg,
+                             StatsRegistry& stats, TraceRecorder& trace,
+                             obs::PhaseLog* phase_log)
+    : cluster(sim, cluster_config(cfg, phase_log), stats, trace),
+      part(cfg.n_nodes),
+      planner(part, OpCosts{}),
+      dirs(bootstrap_dirs(cluster, ids, part, cfg.n_dirs)),
+      source(cluster.env(), cluster, source_config(cfg), meter, stats,
+             planner, ids, dirs, MixedSource::Mix{0.6, 0.25}, cfg.seed,
+             cfg.participants) {}
 
 ChaosRunResult run_schedule(const ChaosRunConfig& cfg,
                             const FaultSchedule& schedule) {
@@ -39,38 +86,11 @@ ChaosRunResult run_schedule(const ChaosRunConfig& cfg,
   Simulator sim;
   StatsRegistry stats;
   TraceRecorder trace(true);  // hashes + trigger observers need the trace
-
-  ClusterConfig cc;
-  cc.n_nodes = cfg.n_nodes;
-  cc.protocol = cfg.protocol;
-  cc.seed = cfg.seed;
-  cc.record_history = true;
-  cc.acp.response_timeout = Duration::millis(300);
-  cc.acp.retry_interval = Duration::millis(100);
-  cc.acp.unsafe_skip_fencing = cfg.unsafe_skip_fencing;
-  cc.heartbeat.enabled = true;
-  cc.heartbeat.interval = Duration::millis(50);
-  cc.heartbeat.suspicion_timeout = Duration::millis(250);
   obs::PhaseLog phase_log;
-  if (report != nullptr) cc.phase_log = &phase_log;
-  Cluster cluster(sim, cc, stats, trace);
-
-  IdAllocator ids;
-  HashPartitioner part(cfg.n_nodes);
-  NamespacePlanner planner(part, OpCosts{});
-  std::vector<ObjectId> dirs;
-  for (std::uint32_t i = 0; i < cfg.n_dirs; ++i) {
-    const ObjectId dir = ids.next();
-    dirs.push_back(dir);
-    cluster.bootstrap_directory(dir, part.home_of(dir));
-  }
-
-  ThroughputMeter meter;
-  SourceConfig scfg;
-  scfg.concurrency = cfg.concurrency;
-  scfg.client_timeout = Duration::seconds(1);
-  MixedSource source(cluster.env(), cluster, scfg, meter, stats, planner, ids, dirs,
-                     MixedSource::Mix{0.6, 0.25}, cfg.seed, cfg.participants);
+  ChaosWorkload w(sim, cfg, stats, trace,
+                  report != nullptr ? &phase_log : nullptr);
+  Cluster& cluster = w.cluster;
+  MixedSource& source = w.source;
 
   Nemesis nemesis(sim, cluster, trace);
   nemesis.install(schedule);
@@ -111,7 +131,7 @@ ChaosRunResult run_schedule(const ChaosRunConfig& cfg,
     }
   }
 
-  CheckContext ctx{cluster.env(), cluster, stats, dirs, drained,
+  CheckContext ctx{cluster.env(), cluster, stats, w.dirs, drained,
                    [&sim](Duration d) { sim.run_for(d); }};
   ChaosRunResult r;
   r.failures = run_checkers(ctx);
@@ -142,7 +162,7 @@ ChaosRunResult run_schedule(const ChaosRunConfig& cfg,
     in.committed = static_cast<std::int64_t>(r.committed);
     in.aborted = static_cast<std::int64_t>(r.aborted);
     in.lost = static_cast<std::int64_t>(r.lost);
-    in.ops_per_second = meter.events_per_second_over(cfg.run_for);
+    in.ops_per_second = w.meter.events_per_second_over(cfg.run_for);
     in.trace_hash = r.trace_hash;
     std::istringstream lines(render_schedule(schedule));
     for (std::string line; std::getline(lines, line);) {

@@ -14,6 +14,7 @@
 
 #include "chaos/checker.h"
 #include "chaos/nemesis.h"
+#include "obs/phase.h"
 #include "obs/report.h"
 #include "workload/source.h"
 
@@ -34,6 +35,24 @@ struct ChaosRunConfig {
   bool unsafe_skip_fencing = false;
 
   [[nodiscard]] bool operator==(const ChaosRunConfig&) const = default;
+};
+
+/// The cluster and mixed workload of one chaos run.  run_schedule() and the
+/// crash-point probe (enumerate_crash_points) both build it from the same
+/// config, so a probe's crash points come from the workload they replay.
+struct ChaosWorkload {
+  /// `phase_log` (optional) receives the engines' phase annotations.
+  ChaosWorkload(Simulator& sim, const ChaosRunConfig& cfg,
+                StatsRegistry& stats, TraceRecorder& trace,
+                obs::PhaseLog* phase_log = nullptr);
+
+  Cluster cluster;
+  IdAllocator ids;
+  HashPartitioner part;
+  NamespacePlanner planner;
+  std::vector<ObjectId> dirs;
+  ThroughputMeter meter;
+  MixedSource source;
 };
 
 struct ChaosRunResult {

@@ -1,18 +1,8 @@
 #include "lock/lock_manager.h"
 
-#include <algorithm>
-#include <functional>
-#include <unordered_map>
 #include <utility>
 
 namespace opc {
-namespace {
-
-const char* mode_name(LockMode m) {
-  return m == LockMode::kShared ? "S" : "X";
-}
-
-}  // namespace
 
 LockManager::~LockManager() = default;
 
@@ -31,126 +21,60 @@ void LockManager::retire_state(std::uint64_t resource, LockState* s) {
   state_pool_.release(s);
 }
 
-bool LockManager::txn_has_queued_waiter(const LockState& s,
-                                        std::uint64_t txn) {
-  return std::any_of(s.waiters.begin(), s.waiters.end(),
-                     [txn](const Waiter& w) { return w.txn == txn; });
+LockManager::Waiter* LockManager::find_waiter(LockState& s,
+                                              std::uint64_t txn) {
+  Waiter* w = s.waiters.begin();
+  while (w != s.waiters.end() && w->txn != txn) ++w;
+  return w;
 }
 
-bool LockManager::grantable(const LockState& s, std::uint64_t txn,
-                            LockMode mode, bool as_upgrade) const {
-  if (as_upgrade) {
-    // Upgrade is grantable when no *other* transaction holds the lock.
-    return std::all_of(s.holders.begin(), s.holders.end(),
-                       [txn](const Holder& h) { return h.txn == txn; });
+void LockManager::forget_wait(std::uint64_t txn, std::uint64_t resource) {
+  if (auto* wset = waiting_by_txn_.find(txn)) {
+    wset->erase_value(resource);
+    if (wset->empty()) waiting_by_txn_.erase(txn);
   }
-  return std::all_of(s.holders.begin(), s.holders.end(),
-                     [&](const Holder& h) {
-                       return h.txn == txn || lock_compatible(h.mode, mode);
-                     });
 }
 
 bool LockManager::acquire(std::uint64_t txn, std::uint64_t resource,
-                          LockMode mode, Granted on_granted, Duration timeout,
+                          Granted on_granted, Duration timeout,
                           TimedOut on_timeout) {
   SIM_CHECK(on_granted != nullptr);
+  SIM_CHECK(txn != kNoOwner);
   LockState& s = state_for(resource);
 
-  // Reentrancy and upgrades.  Holder entries are unique per transaction
-  // (pump() merges grants into an existing entry), so the first match is
-  // authoritative.
-  for (Holder& h : s.holders) {
-    if (h.txn != txn) continue;
-    if (h.mode == LockMode::kExclusive || h.mode == mode) {
-      c_reentrant_.add();
-      on_granted();
-      return true;
-    }
-    // Held S, requesting X.
-    if (grantable(s, txn, mode, /*as_upgrade=*/true)) {
-      h.mode = LockMode::kExclusive;
-      c_upgrades_.add();
-      if (trace_.active()) {
-        trace_.record(env_.now(), TraceKind::kLockGrant, name_,
-                      "upgrade r" + std::to_string(resource), txn);
-      }
-      on_granted();
-      return true;
-    }
-    // Queue at the front as an upgrade; it outranks new arrivals.
-    Waiter w{txn, LockMode::kExclusive, /*upgrade=*/true,
-             std::move(on_granted), std::move(on_timeout), TimerHandle{},
-             env_.now()};
-    if (timeout > Duration::zero()) {
-      w.timer = env_.schedule_after(timeout, [this, txn, resource] {
-        // Find and expire the queued request.
-        LockState* st = state_of(resource);
-        if (st == nullptr) return;
-        Waiter* wit = st->waiters.begin();
-        for (; wit != st->waiters.end(); ++wit) {
-          if (wit->txn == txn) break;
-        }
-        if (wit == st->waiters.end()) return;
-        TimedOut cb = std::move(wit->on_timeout);
-        st->waiters.erase(wit);
-        if (!txn_has_queued_waiter(*st, txn)) {
-          if (auto* wset = waiting_by_txn_.find(txn)) {
-            wset->erase_value(resource);
-            if (wset->empty()) waiting_by_txn_.erase(txn);
-          }
-        }
-        c_timeouts_.add();
-        if (cb) cb();
-      });
-    }
-    s.waiters.push_front(std::move(w));
-    waiting_by_txn_[txn].insert_unique(resource);
-    c_waits_.add();
-    if (trace_.active()) {
-      trace_.record(env_.now(), TraceKind::kLockWait, name_,
-                    "wait-upgrade r" + std::to_string(resource), txn);
-    }
-    return false;
+  if (s.owner == txn) {
+    c_reentrant_.add();
+    on_granted();
+    return true;
   }
 
-  // Fresh request: grant only if compatible AND nobody is queued (FIFO).
-  if (s.waiters.empty() && grantable(s, txn, mode, /*as_upgrade=*/false)) {
-    s.holders.push_back(Holder{txn, mode});
+  if (s.owner == kNoOwner) {
+    s.owner = txn;
     held_by_txn_[txn].insert_unique(resource);
     c_grants_immediate_.add();
     if (trace_.active()) {
       trace_.record(env_.now(), TraceKind::kLockGrant, name_,
-                    std::string(mode_name(mode)) + " r" +
-                        std::to_string(resource),
-                    txn);
+                    "X r" + std::to_string(resource), txn);
     }
     on_granted();
     return true;
   }
 
-  Waiter w{txn, mode, /*upgrade=*/false, std::move(on_granted),
-           std::move(on_timeout), TimerHandle{}, env_.now()};
+  SIM_CHECK_MSG(find_waiter(s, txn) == s.waiters.end(),
+                "transaction queued twice on one resource");
+  Waiter w{txn, std::move(on_granted), std::move(on_timeout), TimerHandle{}};
   if (timeout > Duration::zero()) {
     w.timer = env_.schedule_after(timeout, [this, txn, resource] {
       LockState* st = state_of(resource);
       if (st == nullptr) return;
-      Waiter* wit = st->waiters.begin();
-      for (; wit != st->waiters.end(); ++wit) {
-        if (wit->txn == txn) break;
-      }
+      Waiter* wit = find_waiter(*st, txn);
       if (wit == st->waiters.end()) return;
       TimedOut cb = std::move(wit->on_timeout);
+      // The resource keeps its owner, so no one behind this waiter moves up.
       st->waiters.erase(wit);
-      if (!txn_has_queued_waiter(*st, txn)) {
-        if (auto* wset = waiting_by_txn_.find(txn)) {
-          wset->erase_value(resource);
-          if (wset->empty()) waiting_by_txn_.erase(txn);
-        }
-      }
+      forget_wait(txn, resource);
       c_timeouts_.add();
       if (cb) cb();
-      // The slot this waiter occupied may now unblock later waiters.
-      pump(resource);
     });
   }
   s.waiters.push_back(std::move(w));
@@ -158,84 +82,25 @@ bool LockManager::acquire(std::uint64_t txn, std::uint64_t resource,
   c_waits_.add();
   if (trace_.active()) {
     trace_.record(env_.now(), TraceKind::kLockWait, name_,
-                  std::string(mode_name(mode)) + " r" +
-                      std::to_string(resource),
-                  txn);
+                  "X r" + std::to_string(resource), txn);
   }
   return false;
 }
 
-void LockManager::pump(std::uint64_t resource) {
-  while (true) {
-    // Re-fetched every iteration: on_granted() may recurse into
-    // acquire/release and rehash locks_ (slot pointers do not survive).
-    LockState* sp = state_of(resource);
-    if (sp == nullptr || sp->waiters.empty()) return;
-    LockState& s = *sp;
-    Waiter& front = s.waiters.front();
-    if (!grantable(s, front.txn, front.mode, front.upgrade)) return;
-
-    Waiter w = std::move(front);
-    s.waiters.pop_front();
-    env_.cancel(w.timer);
-    if (!txn_has_queued_waiter(s, w.txn)) {
-      if (auto* wset = waiting_by_txn_.find(w.txn)) {
-        wset->erase_value(resource);
-        if (wset->empty()) waiting_by_txn_.erase(w.txn);
-      }
-    }
-    if (w.upgrade) {
-      auto hit = std::find_if(s.holders.begin(), s.holders.end(),
-                              [&](const Holder& h) { return h.txn == w.txn; });
-      SIM_CHECK_MSG(hit != s.holders.end(), "upgrade waiter lost its S hold");
-      hit->mode = LockMode::kExclusive;
-    } else if (auto hit = std::find_if(
-                   s.holders.begin(), s.holders.end(),
-                   [&](const Holder& h) { return h.txn == w.txn; });
-               hit != s.holders.end()) {
-      // The transaction already holds this resource (it queued the same
-      // request twice): merge instead of duplicating the holder entry.
-      if (w.mode == LockMode::kExclusive) hit->mode = LockMode::kExclusive;
-    } else {
-      s.holders.push_back(Holder{w.txn, w.mode});
-      held_by_txn_[w.txn].insert_unique(resource);
-    }
-    wait_hist_.record(env_.now() - w.enqueued);
-    c_grants_queued_.add();
-    if (trace_.active()) {
-      trace_.record(env_.now(), TraceKind::kLockGrant, name_,
-                    std::string(mode_name(w.mode)) + " r" +
-                        std::to_string(resource) + " (queued)",
-                    w.txn);
-    }
-    // May recurse into acquire/release; state references are re-fetched at
-    // the top of the loop.
-    w.on_granted();
-  }
-}
-
-void LockManager::release(std::uint64_t txn, std::uint64_t resource) {
-  LockState* sp = state_of(resource);
-  if (sp == nullptr) return;
-  LockState& s = *sp;
-  auto hit = std::find_if(s.holders.begin(), s.holders.end(),
-                          [&](const Holder& h) { return h.txn == txn; });
-  if (hit == s.holders.end()) return;
-  s.holders.erase(hit);
-  if (auto* hset = held_by_txn_.find(txn)) {
-    hset->erase_value(resource);
-    if (hset->empty()) held_by_txn_.erase(txn);
-  }
-  c_releases_.add();
+void LockManager::hand_over(std::uint64_t resource, LockState& s) {
+  Waiter w = std::move(s.waiters.front());
+  s.waiters.pop_front();
+  env_.cancel(w.timer);
+  forget_wait(w.txn, resource);
+  s.owner = w.txn;
+  held_by_txn_[w.txn].insert_unique(resource);
+  c_grants_queued_.add();
   if (trace_.active()) {
-    trace_.record(env_.now(), TraceKind::kLockRelease, name_,
-                  "r" + std::to_string(resource), txn);
+    trace_.record(env_.now(), TraceKind::kLockGrant, name_,
+                  "X r" + std::to_string(resource) + " (queued)", w.txn);
   }
-  if (s.holders.empty() && s.waiters.empty()) {
-    retire_state(resource, &s);
-    return;
-  }
-  pump(resource);
+  // May recurse into acquire/release_all; `s` is not touched afterwards.
+  w.on_granted();
 }
 
 void LockManager::release_all(std::uint64_t txn) {
@@ -247,25 +112,13 @@ void LockManager::release_all(std::uint64_t txn) {
     // Newest-first, matching the iteration order of the small
     // unordered_set this index replaced (trace-hash compatible).
     for (std::size_t i = waiting.size(); i-- > 0;) {
-      const std::uint64_t resource = waiting[i];
-      LockState* sp = state_of(resource);
+      LockState* sp = state_of(waiting[i]);
       if (sp == nullptr) continue;
-      WaitQueue& ws = sp->waiters;
-      // Remove EVERY queued request of this transaction — a caller that
-      // double-queued (acquired the same resource twice while blocked)
-      // must not leave a zombie waiter behind.
-      bool removed = false;
-      for (Waiter* x = ws.begin(); x != ws.end();) {
-        if (x->txn == txn) {
-          env_.cancel(x->timer);
-          x = ws.erase(x);
-          removed = true;
-          c_cancelled_waits_.add();
-        } else {
-          ++x;
-        }
-      }
-      if (removed) pump(resource);
+      Waiter* w = find_waiter(*sp, txn);
+      if (w == sp->waiters.end()) continue;
+      env_.cancel(w->timer);
+      sp->waiters.erase(w);
+      c_cancelled_waits_.add();
     }
   }
   if (auto* hset = held_by_txn_.find(txn)) {
@@ -276,17 +129,16 @@ void LockManager::release_all(std::uint64_t txn) {
       LockState* sp = state_of(resource);
       if (sp == nullptr) continue;
       LockState& s = *sp;
-      std::erase_if(s.holders,
-                    [txn](const Holder& h) { return h.txn == txn; });
+      s.owner = kNoOwner;
       c_releases_.add();
       if (trace_.active()) {
         trace_.record(env_.now(), TraceKind::kLockRelease, name_,
                       "r" + std::to_string(resource), txn);
       }
-      if (s.holders.empty() && s.waiters.empty()) {
+      if (s.waiters.empty()) {
         retire_state(resource, &s);
       } else {
-        pump(resource);
+        hand_over(resource, s);
       }
     }
   }
@@ -303,16 +155,9 @@ void LockManager::reset() {
   stats_.add("lock.resets");
 }
 
-bool LockManager::holds(std::uint64_t txn, std::uint64_t resource,
-                        LockMode mode) const {
+bool LockManager::holds(std::uint64_t txn, std::uint64_t resource) const {
   const LockState* s = state_of(resource);
-  if (s == nullptr) return false;
-  for (const Holder& h : s->holders) {
-    if (h.txn == txn) {
-      return mode == LockMode::kShared || h.mode == LockMode::kExclusive;
-    }
-  }
-  return false;
+  return s != nullptr && s->owner == txn;
 }
 
 std::size_t LockManager::waiting_count(std::uint64_t resource) const {
@@ -323,63 +168,6 @@ std::size_t LockManager::waiting_count(std::uint64_t resource) const {
 std::size_t LockManager::held_resources(std::uint64_t txn) const {
   const auto* hset = held_by_txn_.find(txn);
   return hset == nullptr ? 0 : hset->size();
-}
-
-std::vector<std::uint64_t> LockManager::find_deadlock_victims() const {
-  // Wait-for edges: each waiter depends on every incompatible holder and on
-  // every waiter queued ahead of it (FIFO queues make queue order part of
-  // the dependency).  Cold diagnostic path — std containers are fine here.
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> adj;
-  locks_.for_each([&adj](const std::uint64_t&, LockState* const& sp) {
-    const LockState& s = *sp;
-    for (std::size_t i = 0; i < s.waiters.size(); ++i) {
-      const Waiter& w = s.waiters[i];
-      auto& out = adj[w.txn];
-      for (const Holder& h : s.holders) {
-        if (h.txn != w.txn && !lock_compatible(h.mode, w.mode)) {
-          out.push_back(h.txn);
-        }
-      }
-      for (std::size_t j = 0; j < i; ++j) {
-        if (s.waiters[j].txn != w.txn) out.push_back(s.waiters[j].txn);
-      }
-    }
-  });
-
-  std::vector<std::uint64_t> victims;
-  std::unordered_map<std::uint64_t, int> color;  // 0 white 1 grey 2 black
-  std::vector<std::uint64_t> stack;
-
-  std::function<void(std::uint64_t)> dfs = [&](std::uint64_t u) {
-    color[u] = 1;
-    stack.push_back(u);
-    if (auto it = adj.find(u); it != adj.end()) {
-      for (std::uint64_t v : it->second) {
-        if (color[v] == 1) {
-          // Cycle: victim = youngest (largest id) on the cycle segment.
-          std::uint64_t victim = v;
-          for (auto r = stack.rbegin(); r != stack.rend(); ++r) {
-            victim = std::max(victim, *r);
-            if (*r == v) break;
-          }
-          if (std::find(victims.begin(), victims.end(), victim) ==
-              victims.end()) {
-            victims.push_back(victim);
-          }
-        } else if (color[v] == 0) {
-          dfs(v);
-        }
-      }
-    }
-    color[u] = 2;
-    stack.pop_back();
-  };
-  for (const auto& [txn, edges] : adj) {
-    (void)edges;
-    if (color[txn] == 0) dfs(txn);
-  }
-  std::sort(victims.begin(), victims.end());
-  return victims;
 }
 
 }  // namespace opc

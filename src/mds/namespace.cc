@@ -149,15 +149,4 @@ Transaction NamespacePlanner::plan_create_spread(
   return txn;
 }
 
-Transaction NamespacePlanner::plan_stat(ObjectId inode) {
-  SIM_CHECK(inode.valid());
-  const NodeId coord = part_.home_of(inode);
-  Transaction txn;
-  txn.kind = NamespaceOpKind::kCustom;
-  add_op(txn, coord, coord,
-         Operation{OpType::kReadAttr, inode, kNoObject, "",
-                   /*log_bytes=*/0, costs_.method_compute});
-  return txn;
-}
-
 }  // namespace opc

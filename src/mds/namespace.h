@@ -69,10 +69,6 @@ class NamespacePlanner {
                                         ObjectId inode,
                                         std::optional<ObjectId> overwritten);
 
-  /// Read-only attribute lookup (stat): single participant, shared lock,
-  /// no log writes at all — the engine's read fast path.
-  [[nodiscard]] Transaction plan_stat(ObjectId inode);
-
   /// Aggregated CREATE (paper §VI future work): all `entries` are created
   /// in `parent_dir` inside ONE transaction, so the directory is locked
   /// once and the protocol overhead is paid once per batch.

@@ -2,21 +2,17 @@
 //
 // The paper (Fig. 1) assumes a distribution policy that can place a file's
 // inode on a different MDS than its parent directory — that is what makes
-// CREATE/DELETE distributed in the first place.  Two policies are provided:
-//
-//   * HashPartitioner — uniform hash placement of every object; with n MDSs
-//     a fraction (n-1)/n of creates is distributed.  This reproduces the
-//     paper's motivating scenario of spreading one hot directory's files
-//     over all servers.
-//   * LocalityPartitioner — keeps a child on its parent directory's MDS
-//     with probability `locality`, spilling the rest uniformly (Ceph-style
-//     locality; used by the distributed-fraction ablation).
+// CREATE/DELETE distributed in the first place.  HashPartitioner places
+// every object uniformly by hash; with n MDSs a fraction (n-1)/n of creates
+// is distributed.  This reproduces the paper's motivating scenario of
+// spreading one hot directory's files over all servers.  PinnedPartitioner
+// places objects explicitly.
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 
 #include "net/types.h"
-#include "sim/rng.h"
 #include "txn/types.h"
 
 namespace opc {
@@ -61,30 +57,6 @@ class HashPartitioner final : public Partitioner {
     return x;
   }
   std::uint32_t n_;
-};
-
-/// Parent-affine placement with a tunable spill fraction.  Stateful: it
-/// remembers every placement so home_of() stays consistent.
-class LocalityPartitioner final : public Partitioner {
- public:
-  /// `locality` = probability a new child lands on its parent's MDS.
-  LocalityPartitioner(std::uint32_t n_servers, double locality,
-                      std::uint64_t seed)
-      : n_(n_servers), locality_(locality), rng_(seed, /*stream=*/0x10CA1) {}
-
-  [[nodiscard]] NodeId home_of(ObjectId obj) const override;
-  [[nodiscard]] NodeId place_child(ObjectId parent_dir, ObjectId child,
-                                   std::uint64_t hint) override;
-  [[nodiscard]] std::uint32_t cluster_size() const override { return n_; }
-
-  /// Pre-assigns the home of an object (roots, bootstrapped trees).
-  void assign(ObjectId obj, NodeId home) { placed_[obj] = home; }
-
- private:
-  std::uint32_t n_;
-  double locality_;
-  Rng rng_;
-  std::unordered_map<ObjectId, NodeId> placed_;
 };
 
 /// Fully explicit placement with a default home for new children.  The

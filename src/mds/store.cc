@@ -191,7 +191,6 @@ StoreStatus MetaStore::validate(TxnId txn, const Operation& op) const {
       return StoreStatus::kOk;
     }
     case OpType::kSetAttr:
-    case OpType::kReadAttr:
     case OpType::kIncLink:
       if (!effective_inode(txn, op.target)) return StoreStatus::kInodeNotFound;
       return StoreStatus::kOk;
@@ -234,14 +233,12 @@ StoreStatus MetaStore::validate(TxnId txn, const Operation& op) const {
 StoreStatus MetaStore::apply(TxnId txn, const Operation& op) {
   const StoreStatus st = validate(txn, op);
   if (st != StoreStatus::kOk) return st;
-  if (!op_is_read(op.type)) {
-    auto [ops, inserted] = pending_.try_emplace(txn);
-    if (inserted && !ops_pool_.empty()) {
-      *ops = std::move(ops_pool_.back());
-      ops_pool_.pop_back();
-    }
-    ops->push_back(op);
+  auto [ops, inserted] = pending_.try_emplace(txn);
+  if (inserted && !ops_pool_.empty()) {
+    *ops = std::move(ops_pool_.back());
+    ops_pool_.pop_back();
   }
+  ops->push_back(op);
   return StoreStatus::kOk;
 }
 
@@ -289,8 +286,6 @@ void MetaStore::apply_to(const Operation& op, InodeTable& inodes,
       SIM_CHECK_MSG(dentries.erase(op.target, op.name),
                     "RemoveDentry on missing name");
       break;
-    case OpType::kReadAttr:
-      break;
   }
 }
 
@@ -302,7 +297,7 @@ void MetaStore::recycle_ops(std::vector<Operation>&& ops) {
 
 void MetaStore::commit_mem(TxnId txn) {
   std::vector<Operation>* ops = pending_.find(txn);
-  if (ops == nullptr) return;  // read-only or empty share
+  if (ops == nullptr) return;  // empty share
   SIM_CHECK_MSG(!unflushed_.contains(txn), "commit_mem called twice");
   for (const Operation& op : *ops) {
     apply_to(op, mem_inodes_, mem_dentries_);
@@ -313,7 +308,7 @@ void MetaStore::commit_mem(TxnId txn) {
 
 void MetaStore::commit_stable(TxnId txn) {
   std::vector<Operation>* ops = unflushed_.find(txn);
-  if (ops == nullptr) return;  // read-only or empty share
+  if (ops == nullptr) return;  // empty share
   for (const Operation& op : *ops) {
     apply_to(op, stable_inodes_, stable_dentries_);
   }
@@ -344,7 +339,6 @@ bool MetaStore::replay_committed(TxnId txn,
                                  const std::vector<Operation>& ops) {
   if (stable_applied_.contains(txn)) return false;
   for (const Operation& op : ops) {
-    if (op_is_read(op.type)) continue;
     apply_to(op, stable_inodes_, stable_dentries_);
     apply_to(op, mem_inodes_, mem_dentries_);
   }

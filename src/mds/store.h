@@ -73,7 +73,7 @@ class MetaStore {
 
   /// Validates `op` against the transaction's effective view (mem + its own
   /// pending ops) and records it in the cache.  Nothing becomes durable or
-  /// visible to others.  Read-only ops validate without being recorded.
+  /// visible to others.
   StoreStatus apply(TxnId txn, const Operation& op);
 
   /// Makes the transaction's cached updates visible in `mem` (logically

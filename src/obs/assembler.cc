@@ -26,7 +26,7 @@ std::string_view last_token(std::string_view s) {
   return sp == std::string_view::npos ? s : s.substr(sp + 1);
 }
 
-// "S r5", "X r5 (queued)", "wait-upgrade r5" -> "r5".
+// "X r5", "X r5 (queued)", "r5" -> "r5".
 std::string_view resource_token(std::string_view s) {
   std::size_t i = 0;
   while (i < s.size()) {

@@ -26,7 +26,6 @@ std::vector<std::pair<TxnId, TxnId>> HistoryRecorder::conflict_edges() const {
         const Access* a = list[i];
         const Access* b = list[j];
         if (a->txn == b->txn) continue;
-        if (!a->is_write && !b->is_write) continue;  // RR does not conflict
         const std::uint64_t key = a->txn * 0x9E3779B97F4A7C15ULL ^ b->txn;
         if (seen.insert(key).second) edges.emplace_back(a->txn, b->txn);
       }

@@ -1,9 +1,10 @@
 // Conflict-serializability certification for committed histories.
 //
-// The isolation tests record every object access (who, what, read/write,
-// when) and every commit; the checker builds the conflict graph over
-// committed transactions — an edge ti -> tj whenever ti's access to an
-// object precedes a conflicting access by tj — and certifies the history
+// The isolation tests record every object access (who, what, when) and
+// every commit.  Every access writes the object it locks, so any two
+// accesses to one object by different transactions conflict.  The checker
+// builds the conflict graph over committed transactions — an edge ti -> tj
+// whenever ti's access to an object precedes tj's — and certifies the history
 // serializable iff that graph is acyclic.  Strict 2PL guarantees this; the
 // tests make the guarantee observable.
 #pragma once
@@ -23,7 +24,6 @@ class HistoryRecorder {
   struct Access {
     TxnId txn;
     ObjectId obj;
-    bool is_write;
     SimTime at;
     std::uint64_t seq;  // total order among same-instant accesses
     std::uint32_t node;
@@ -32,9 +32,9 @@ class HistoryRecorder {
   /// Records an object access.  `node` identifies the recording MDS so that
   /// drop_accesses() can void a node's pre-crash accesses (whose effects
   /// evaporated with its cache) without touching surviving ones.
-  void record_access(TxnId txn, ObjectId obj, bool is_write, SimTime at,
+  void record_access(TxnId txn, ObjectId obj, SimTime at,
                      std::uint32_t node = UINT32_MAX) {
-    accesses_.push_back(Access{txn, obj, is_write, at, seq_++, node});
+    accesses_.push_back(Access{txn, obj, at, seq_++, node});
   }
   void record_commit(TxnId txn) { committed_.insert(txn); }
   void record_abort(TxnId txn) { aborted_.insert(txn); }

@@ -50,7 +50,6 @@ const char* op_type_name(OpType t) {
     case OpType::kAddDentry: return "AddDentry";
     case OpType::kRemoveDentry: return "RemoveDentry";
     case OpType::kSetAttr: return "SetAttr";
-    case OpType::kReadAttr: return "ReadAttr";
   }
   return "?";
 }
@@ -118,20 +117,6 @@ bool decode_ops(const std::vector<std::uint8_t>& buf,
     out.push_back(std::move(op));
   }
   return o == buf.size();
-}
-
-std::vector<ObjectId> Transaction::objects_at(NodeId node) const {
-  std::vector<ObjectId> out;
-  for (const Participant& p : participants) {
-    if (p.node != node) continue;
-    for (const Operation& op : p.ops) {
-      if (op.target.valid() &&
-          std::find(out.begin(), out.end(), op.target) == out.end()) {
-        out.push_back(op.target);
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace opc

@@ -36,7 +36,8 @@ inline constexpr ObjectId kNoObject{};
 
 using TxnId = std::uint64_t;
 
-/// Primitive metadata methods.
+/// Primitive metadata methods.  The values are encoded in REDO records and
+/// UPDATE_REQ messages; do not renumber them.
 enum class OpType : std::uint8_t {
   kCreateInode = 1,   // target = new inode id
   kRemoveInode = 2,   // target = inode id
@@ -45,15 +46,9 @@ enum class OpType : std::uint8_t {
   kAddDentry = 5,     // target = directory inode, name + child
   kRemoveDentry = 6,  // target = directory inode, name
   kSetAttr = 7,       // target = inode id (attribute touch)
-  kReadAttr = 8,      // target = inode id, read-only (shared lock)
 };
 
 [[nodiscard]] const char* op_type_name(OpType t);
-
-/// True for methods that only read (lock in shared mode).
-[[nodiscard]] constexpr bool op_is_read(OpType t) {
-  return t == OpType::kReadAttr;
-}
 
 /// One metadata method at one MDS.
 struct Operation {
@@ -124,9 +119,6 @@ struct Transaction {
   [[nodiscard]] std::size_t n_participants() const {
     return participants.size();
   }
-
-  /// Every object the transaction touches at `node`, for locking.
-  [[nodiscard]] std::vector<ObjectId> objects_at(NodeId node) const;
 };
 
 }  // namespace opc

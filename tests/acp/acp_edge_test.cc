@@ -1,6 +1,5 @@
-// Protocol edge cases: read-only fast path, shared-lock concurrency,
-// duplicate and stale messages, PrC's presumption, recovery ordering of
-// queued submissions.
+// Protocol edge cases: duplicate and stale messages, PrC's presumption,
+// recovery ordering of queued submissions.
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
@@ -34,61 +33,6 @@ struct EdgeFixture {
     planner = std::make_unique<NamespacePlanner>(*part, OpCosts{});
   }
 };
-
-TEST(ReadFastPath, StatWritesNothingToTheLog) {
-  EdgeFixture f;
-  const ObjectId inode = f.ids.next();
-  f.cluster->submit(f.planner->plan_create(f.dir, "s", inode, false),
-                    [](TxnId, TxnOutcome) {});
-  f.sim.run();
-  const auto forces_before = f.stats.get("wal.force.count");
-
-  TxnOutcome outcome = TxnOutcome::kPending;
-  SimTime replied;
-  f.cluster->submit(f.planner->plan_stat(inode), [&](TxnId, TxnOutcome o) {
-    outcome = o;
-    replied = f.sim.now();
-  });
-  const SimTime started = f.sim.now();
-  f.sim.run();
-
-  EXPECT_EQ(outcome, TxnOutcome::kCommitted);
-  EXPECT_EQ(f.stats.get("wal.force.count"), forces_before)
-      << "a stat must not touch the log";
-  EXPECT_EQ(f.stats.get("acp.local.read_only"), 1);
-  // Just the 1 us method compute, no disk, no network.
-  EXPECT_LT(replied - started, Duration::micros(10));
-}
-
-TEST(ReadFastPath, ConcurrentStatsShareTheLock) {
-  EdgeFixture f;
-  const ObjectId inode = f.ids.next();
-  f.cluster->submit(f.planner->plan_create(f.dir, "s", inode, false),
-                    [](TxnId, TxnOutcome) {});
-  f.sim.run();
-
-  int done = 0;
-  for (int i = 0; i < 10; ++i) {
-    f.cluster->submit(f.planner->plan_stat(inode), [&](TxnId, TxnOutcome o) {
-      if (o == TxnOutcome::kCommitted) ++done;
-    });
-  }
-  f.sim.run();
-  EXPECT_EQ(done, 10);
-  EXPECT_EQ(f.stats.get("lock.grants.queued"), 0)
-      << "shared locks must not queue behind each other";
-}
-
-TEST(ReadFastPath, StatOfMissingInodeAborts) {
-  EdgeFixture f;
-  // The inode is on the worker node per the pinned partitioner, so route a
-  // stat at an id that does not exist anywhere.
-  TxnOutcome outcome = TxnOutcome::kPending;
-  f.cluster->submit(f.planner->plan_stat(ObjectId(424242)),
-                    [&](TxnId, TxnOutcome o) { outcome = o; });
-  f.sim.run();
-  EXPECT_EQ(outcome, TxnOutcome::kAborted);
-}
 
 TEST(PresumedCommit, WorkerLearnsCommitFromFinalizedLog) {
   // PrC's defining behaviour: the coordinator finalizes (truncates) its log

@@ -1,5 +1,6 @@
 // Schedule exploration: generation determinism, report reproducibility,
-// systematic crash-point enumeration, and the four-protocol smoke — 50
+// systematic crash-point enumeration (and its probe's workload width), and
+// the four-protocol smoke — 50
 // random schedules per paper protocol (200 total) with every checker green,
 // and replays of schedules that once failed.
 #include <gtest/gtest.h>
@@ -63,6 +64,21 @@ TEST(Exploration, SystematicModeEnumeratesCrashPoints) {
   EXPECT_GT(systematic, 0u);
   EXPECT_LE(systematic, 8u);
   EXPECT_EQ(r.failed, 0u);
+}
+
+TEST(Exploration, CrashPointProbeRunsTheConfiguredWidth) {
+  // The probe must run the workload its schedules replay: at three
+  // participants per create it sees a different history, so it yields
+  // different crash points than at two.
+  ChaosRunConfig two;
+  two.seed = 11;
+  ChaosRunConfig three = two;
+  three.participants = 3;
+  const std::vector<FaultSchedule> a = enumerate_crash_points(two, 64);
+  const std::vector<FaultSchedule> b = enumerate_crash_points(three, 64);
+  ASSERT_FALSE(a.empty());
+  ASSERT_FALSE(b.empty());
+  EXPECT_NE(a, b);
 }
 
 // PrN schedule 3857 of exploration seed 12.  The coordinator times out

@@ -67,7 +67,9 @@ TEST(FlatDifferential, MapMatchesUnorderedMapUnderChurn) {
         const std::uint64_t* p = flat.find(key);
         const auto it = ref.find(key);
         ASSERT_EQ(p != nullptr, it != ref.end());
-        if (p != nullptr) ASSERT_EQ(*p, it->second);
+        if (p != nullptr) {
+          ASSERT_EQ(*p, it->second);
+        }
       }
     }
   }
@@ -244,7 +246,7 @@ TEST(FlatDifferential, StoreDumpsMatchOrderedMapModel) {
 //
 // The lock table's unordered_map+unordered_set trio became pooled flat
 // structures; what must survive is the queueing discipline: FIFO grants per
-// resource, shared coalescing, and release_all dropping every hold.  Replay
+// resource and release_all dropping every hold.  Replay
 // a contention scenario and compare the observable grant order against a
 // hand-computed reference.
 TEST(FlatDifferential, LockQueueKeepsFifoGrantOrder) {
@@ -256,10 +258,9 @@ TEST(FlatDifferential, LockQueueKeepsFifoGrantOrder) {
 
   std::vector<std::uint64_t> grants;
   const std::uint64_t kRes = 7;
-  lm.acquire(1, kRes, LockMode::kExclusive, [&grants] { grants.push_back(1); });
+  lm.acquire(1, kRes, [&grants] { grants.push_back(1); });
   for (std::uint64_t t = 2; t <= 6; ++t) {
-    lm.acquire(t, kRes, LockMode::kExclusive,
-               [&grants, t] { grants.push_back(t); });
+    lm.acquire(t, kRes, [&grants, t] { grants.push_back(t); });
   }
   sim.run();
   ASSERT_EQ(grants, (std::vector<std::uint64_t>{1}));
@@ -269,23 +270,6 @@ TEST(FlatDifferential, LockQueueKeepsFifoGrantOrder) {
   }
   // Waiters drained strictly in arrival order.
   ASSERT_EQ(grants, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}));
-
-  // Shared coalescing: S holders stack, a later X waits for all of them.
-  grants.clear();
-  lm.acquire(10, kRes, LockMode::kShared, [&grants] { grants.push_back(10); });
-  lm.acquire(11, kRes, LockMode::kShared, [&grants] { grants.push_back(11); });
-  lm.acquire(12, kRes, LockMode::kExclusive,
-             [&grants] { grants.push_back(12); });
-  sim.run();
-  ASSERT_EQ(grants, (std::vector<std::uint64_t>{10, 11}));
-  lm.release_all(10);
-  sim.run();
-  ASSERT_EQ(grants, (std::vector<std::uint64_t>{10, 11}));  // 11 still holds
-  lm.release_all(11);
-  sim.run();
-  ASSERT_EQ(grants, (std::vector<std::uint64_t>{10, 11, 12}));
-  lm.release_all(12);
-  sim.run();
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Model-checking the lock manager: thousands of randomized operation
-// sequences are executed against both the real LockManager and a
+// sequences (acquire with and without a timeout, time passing, release_all,
+// crash reset) are executed against both the real LockManager and a
 // deliberately naive reference model; observable behaviour (who got
-// granted, in what order) must match exactly, and safety properties must
-// hold at every step.
+// granted or timed out, in what order) must match exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
 
@@ -15,139 +16,109 @@
 namespace opc {
 namespace {
 
-/// Straight-line reference implementation: same spec (S/X modes, strict
-/// FIFO, reentrancy, sole-holder upgrade, upgrade-jumps-queue), written for
-/// obviousness instead of efficiency.
+/// Straight-line reference implementation: same spec (exclusive locks,
+/// strict FIFO, reentrancy, per-request timeouts), written for obviousness
+/// instead of efficiency.
 class ReferenceLock {
  public:
-  struct Grant {
+  struct Event {
     std::uint64_t txn;
     std::uint64_t resource;
+    bool timed_out;
+    [[nodiscard]] bool operator==(const Event&) const = default;
   };
 
-  std::vector<Grant> grants;  // in grant order — the observable behaviour
+  std::vector<Event> events;  // in order — the observable behaviour
 
-  void acquire(std::uint64_t txn, std::uint64_t res, LockMode mode) {
-    auto& s = locks_[res];
-    // Reentrancy.
-    for (auto& [ht, hm] : s.holders) {
-      if (ht != txn) continue;
-      if (hm == LockMode::kExclusive || hm == mode) {
-        grants.push_back({txn, res});
-        return;
-      }
-      bool sole = true;  // sole-distinct-holder upgrade
-      for (auto& [ot, om] : s.holders) {
-        (void)om;
-        if (ot != txn) sole = false;
-      }
-      if (sole) {
-        hm = LockMode::kExclusive;
-        grants.push_back({txn, res});
-        return;
-      }
-      s.waiters.push_front({txn, LockMode::kExclusive, true});
+  /// `deadline_ns` < 0 means no timeout.
+  void acquire(std::uint64_t txn, std::uint64_t res, std::int64_t deadline_ns) {
+    State& s = locks_[res];
+    if (s.owner == txn || s.owner == 0) {
+      s.owner = txn;
+      events.push_back({txn, res, false});
       return;
     }
-    if (s.waiters.empty() && compatible(s, txn, mode)) {
-      s.holders.emplace_back(txn, mode);
-      grants.push_back({txn, res});
-      return;
+    s.waiters.push_back({txn, deadline_ns, next_seq_++});
+  }
+
+  [[nodiscard]] bool queued(std::uint64_t txn, std::uint64_t res) const {
+    auto it = locks_.find(res);
+    if (it == locks_.end()) return false;
+    return std::any_of(it->second.waiters.begin(), it->second.waiters.end(),
+                       [txn](const Waiter& w) { return w.txn == txn; });
+  }
+
+  /// Time reaches `now_ns`: expire every due waiter, earliest deadline first
+  /// (ties in request order).
+  void advance(std::int64_t now_ns) {
+    while (true) {
+      State* due_state = nullptr;
+      std::uint64_t due_res = 0;
+      Waiter* due = nullptr;
+      for (auto& [res, s] : locks_) {
+        for (Waiter& w : s.waiters) {
+          if (w.deadline_ns < 0 || w.deadline_ns > now_ns) continue;
+          if (due == nullptr || w.deadline_ns < due->deadline_ns ||
+              (w.deadline_ns == due->deadline_ns && w.seq < due->seq)) {
+            due = &w;
+            due_state = &s;
+            due_res = res;
+          }
+        }
+      }
+      if (due == nullptr) return;
+      events.push_back({due->txn, due_res, true});
+      const std::uint64_t seq = due->seq;
+      std::erase_if(due_state->waiters,
+                    [seq](const Waiter& w) { return w.seq == seq; });
+      pump(*due_state, due_res);
     }
-    s.waiters.push_back({txn, mode, false});
   }
 
   void release_all(std::uint64_t txn) {
     for (auto& [res, s] : locks_) {
       std::erase_if(s.waiters,
                     [txn](const Waiter& w) { return w.txn == txn; });
-      std::erase_if(s.holders,
-                    [txn](const auto& h) { return h.first == txn; });
     }
-    // Pump every resource until no more grants are possible.
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (auto& [res, s] : locks_) {
-        while (!s.waiters.empty()) {
-          Waiter w = s.waiters.front();
-          if (w.upgrade) {
-            bool sole = true;
-            for (auto& [ht, hm] : s.holders) {
-              (void)hm;
-              if (ht != w.txn) sole = false;
-            }
-            if (!sole) break;
-            for (auto& [ht, hm] : s.holders) {
-              if (ht == w.txn) hm = LockMode::kExclusive;
-            }
-          } else {
-            if (!compatible(s, w.txn, w.mode)) break;
-            bool merged = false;
-            for (auto& [ht, hm] : s.holders) {
-              if (ht != w.txn) continue;
-              if (w.mode == LockMode::kExclusive) hm = LockMode::kExclusive;
-              merged = true;
-              break;
-            }
-            if (!merged) s.holders.emplace_back(w.txn, w.mode);
-          }
-          s.waiters.pop_front();
-          grants.push_back({w.txn, res});
-          progress = true;
-        }
-      }
+    for (auto& [res, s] : locks_) {
+      if (s.owner == txn) s.owner = 0;
+      pump(s, res);
     }
   }
 
-  [[nodiscard]] bool holds(std::uint64_t txn, std::uint64_t res,
-                           LockMode mode) const {
+  void reset() { locks_.clear(); }
+
+  [[nodiscard]] bool holds(std::uint64_t txn, std::uint64_t res) const {
     auto it = locks_.find(res);
-    if (it == locks_.end()) return false;
-    for (const auto& [ht, hm] : it->second.holders) {
-      if (ht == txn) {
-        return mode == LockMode::kShared || hm == LockMode::kExclusive;
-      }
-    }
-    return false;
+    return it != locks_.end() && it->second.owner == txn;
   }
 
-  /// Safety: an X holder never coexists with a *different* transaction
-  /// holding the same resource (duplicate entries by one reentrant
-  /// transaction are allowed).
-  [[nodiscard]] bool exclusive_is_exclusive() const {
-    for (const auto& [res, s] : locks_) {
-      (void)res;
-      for (const auto& [xt, xm] : s.holders) {
-        if (xm != LockMode::kExclusive) continue;
-        for (const auto& [ot, om] : s.holders) {
-          (void)om;
-          if (ot != xt) return false;
-        }
-      }
-    }
-    return true;
+  [[nodiscard]] std::size_t waiting_count(std::uint64_t res) const {
+    auto it = locks_.find(res);
+    return it == locks_.end() ? 0 : it->second.waiters.size();
   }
 
  private:
   struct Waiter {
     std::uint64_t txn;
-    LockMode mode;
-    bool upgrade;
+    std::int64_t deadline_ns;
+    std::uint64_t seq;
   };
   struct State {
-    std::vector<std::pair<std::uint64_t, LockMode>> holders;
+    std::uint64_t owner = 0;
     std::deque<Waiter> waiters;
   };
 
-  static bool compatible(const State& s, std::uint64_t txn, LockMode mode) {
-    for (const auto& [ht, hm] : s.holders) {
-      if (ht != txn && !lock_compatible(hm, mode)) return false;
+  void pump(State& s, std::uint64_t res) {
+    while (s.owner == 0 && !s.waiters.empty()) {
+      s.owner = s.waiters.front().txn;
+      s.waiters.pop_front();
+      events.push_back({s.owner, res, false});
     }
-    return true;
   }
 
   std::map<std::uint64_t, State> locks_;
+  std::uint64_t next_seq_ = 0;
 };
 
 TEST(LockModelCheck, RandomSequencesMatchReference) {
@@ -158,69 +129,73 @@ TEST(LockModelCheck, RandomSequencesMatchReference) {
     TraceRecorder trace(false);
     LockManager real(env, "model", stats, trace);
     ReferenceLock ref;
-    std::vector<ReferenceLock::Grant> real_grants;
+    std::vector<ReferenceLock::Event> real_events;
     Rng rng(seed, 0x10DE1);
 
     constexpr std::uint64_t kTxns = 8;
     constexpr std::uint64_t kResources = 4;
     std::vector<bool> alive(kTxns + 1, false);
+    std::int64_t now_ns = 0;
 
     for (int step = 0; step < 400; ++step) {
       const std::uint64_t txn = 1 + rng.index(kTxns);
-      if (!alive[txn] || rng.uniform01() < 0.75) {
-        // acquire
+      const double op = rng.uniform01();
+      if (op < 0.02) {
+        // Crash: the whole table goes, and no callback fires.
+        real.reset();
+        ref.reset();
+        std::fill(alive.begin(), alive.end(), false);
+      } else if (op < 0.17) {
+        now_ns += static_cast<std::int64_t>(rng.index(20)) * 1'000'000;
+        sim.run_until(SimTime::zero() + Duration::nanos(now_ns));
+        ref.advance(now_ns);
+      } else if (!alive[txn] || op < 0.75) {
         alive[txn] = true;
         const std::uint64_t res = 1 + rng.index(kResources);
-        const LockMode mode =
-            rng.bernoulli(0.4) ? LockMode::kShared : LockMode::kExclusive;
-        real.acquire(txn, res, mode,
-                     [&real_grants, txn, res] {
-                       real_grants.push_back({txn, res});
-                     });
-        ref.acquire(txn, res, mode);
+        // A transaction queues at most once per resource.
+        if (ref.queued(txn, res)) continue;
+        Duration timeout = Duration::zero();
+        std::int64_t deadline_ns = -1;
+        if (rng.bernoulli(0.5)) {
+          timeout = Duration::millis(1 + static_cast<int>(rng.index(30)));
+          deadline_ns = now_ns + timeout.count_nanos();
+        }
+        real.acquire(
+            txn, res,
+            [&real_events, txn, res] {
+              real_events.push_back({txn, res, false});
+            },
+            timeout,
+            [&real_events, txn, res] {
+              real_events.push_back({txn, res, true});
+            });
+        ref.acquire(txn, res, deadline_ns);
       } else {
         alive[txn] = false;
         real.release_all(txn);
         ref.release_all(txn);
       }
 
-      // Observable equivalence after every step.  The grant ORDER is only
+      // Observable equivalence after every step.  The order is only
       // specified per resource (FIFO within one queue); release_all may
       // pump independent resources in any order, so compare per-resource
-      // grant sequences.
-      ASSERT_EQ(real_grants.size(), ref.grants.size())
+      // sequences.
+      ASSERT_EQ(real_events.size(), ref.events.size())
           << "seed " << seed << " step " << step;
       for (std::uint64_t r = 1; r <= kResources; ++r) {
-        std::vector<std::uint64_t> real_seq, ref_seq;
-        for (const auto& g : real_grants) {
-          if (g.resource == r) real_seq.push_back(g.txn);
+        std::vector<ReferenceLock::Event> real_seq, ref_seq;
+        for (const auto& e : real_events) {
+          if (e.resource == r) real_seq.push_back(e);
         }
-        for (const auto& g : ref.grants) {
-          if (g.resource == r) ref_seq.push_back(g.txn);
+        for (const auto& e : ref.events) {
+          if (e.resource == r) ref_seq.push_back(e);
         }
         ASSERT_EQ(real_seq, ref_seq)
             << "seed " << seed << " step " << step << " resource " << r;
-      }
-      // Safety in both models.
-      ASSERT_TRUE(ref.exclusive_is_exclusive());
-      for (std::uint64_t r = 1; r <= kResources; ++r) {
-        int x_holders = 0, s_holders = 0;
+        ASSERT_EQ(real.waiting_count(r), ref.waiting_count(r))
+            << "seed " << seed << " step " << step << " resource " << r;
         for (std::uint64_t t = 1; t <= kTxns; ++t) {
-          if (!real.holds(t, r, LockMode::kShared)) continue;
-          if (real.holds(t, r, LockMode::kExclusive)) {
-            ++x_holders;
-          } else {
-            ++s_holders;
-          }
-        }
-        ASSERT_TRUE(x_holders == 0 || (x_holders == 1 && s_holders == 0))
-            << "X lock shared at seed " << seed << " step " << step;
-      }
-      // Cross-check holds() agreement.
-      for (std::uint64_t t = 1; t <= kTxns; ++t) {
-        for (std::uint64_t r = 1; r <= kResources; ++r) {
-          ASSERT_EQ(real.holds(t, r, LockMode::kShared),
-                    ref.holds(t, r, LockMode::kShared))
+          ASSERT_EQ(real.holds(t, r), ref.holds(t, r))
               << "seed " << seed << " step " << step;
         }
       }

@@ -1,5 +1,5 @@
-// Lock manager: modes, FIFO fairness, reentrancy, upgrades, timeouts,
-// release cascades, deadlock detection, crash reset.
+// Lock manager: exclusive grants, FIFO fairness, reentrancy, timeouts,
+// release cascades, crash reset.
 #include <gtest/gtest.h>
 
 #include "env/sim_env.h"
@@ -19,98 +19,53 @@ struct LockFixture {
 TEST(LockTest, ExclusiveGrantsImmediatelyWhenFree) {
   LockFixture f;
   bool granted = false;
-  EXPECT_TRUE(f.lm.acquire(1, 100, LockMode::kExclusive,
-                           [&] { granted = true; }));
+  EXPECT_TRUE(f.lm.acquire(1, 100, [&] { granted = true; }));
   EXPECT_TRUE(granted);
-  EXPECT_TRUE(f.lm.holds(1, 100, LockMode::kExclusive));
-}
-
-TEST(LockTest, SharedLocksCoexist) {
-  LockFixture f;
-  int granted = 0;
-  EXPECT_TRUE(f.lm.acquire(1, 100, LockMode::kShared, [&] { ++granted; }));
-  EXPECT_TRUE(f.lm.acquire(2, 100, LockMode::kShared, [&] { ++granted; }));
-  EXPECT_EQ(granted, 2);
-}
-
-TEST(LockTest, ExclusiveBlocksBehindShared) {
-  LockFixture f;
-  bool x_granted = false;
-  f.lm.acquire(1, 100, LockMode::kShared, [] {});
-  EXPECT_FALSE(f.lm.acquire(2, 100, LockMode::kExclusive,
-                            [&] { x_granted = true; }));
-  EXPECT_FALSE(x_granted);
-  f.lm.release(1, 100);
-  EXPECT_TRUE(x_granted);
+  EXPECT_TRUE(f.lm.holds(1, 100));
 }
 
 TEST(LockTest, FifoNoBarging) {
   LockFixture f;
   std::vector<int> order;
-  f.lm.acquire(1, 100, LockMode::kExclusive, [] {});
-  f.lm.acquire(2, 100, LockMode::kExclusive, [&] { order.push_back(2); });
-  // Txn 3's S request must NOT barge past txn 2's queued X request.
-  f.lm.acquire(3, 100, LockMode::kShared, [&] { order.push_back(3); });
-  f.lm.release(1, 100);
-  EXPECT_EQ(order, (std::vector<int>{2}));
-  f.lm.release(2, 100);
-  EXPECT_EQ(order, (std::vector<int>{2, 3}));
-}
-
-TEST(LockTest, SharedWaveGrantsTogether) {
-  LockFixture f;
-  int granted = 0;
-  f.lm.acquire(1, 100, LockMode::kExclusive, [] {});
-  for (std::uint64_t t = 2; t <= 5; ++t) {
-    f.lm.acquire(t, 100, LockMode::kShared, [&] { ++granted; });
-  }
-  f.lm.release(1, 100);
-  EXPECT_EQ(granted, 4) << "all queued S requests granted in one wave";
-}
-
-TEST(LockTest, ReentrantSameModeAndXCoversS) {
-  LockFixture f;
-  int granted = 0;
-  f.lm.acquire(1, 100, LockMode::kExclusive, [&] { ++granted; });
-  EXPECT_TRUE(f.lm.acquire(1, 100, LockMode::kExclusive, [&] { ++granted; }));
-  EXPECT_TRUE(f.lm.acquire(1, 100, LockMode::kShared, [&] { ++granted; }));
-  EXPECT_EQ(granted, 3);
-  EXPECT_EQ(f.lm.held_resources(1), 1u);
-}
-
-TEST(LockTest, SoleHolderUpgradesInPlace) {
-  LockFixture f;
-  bool upgraded = false;
-  f.lm.acquire(1, 100, LockMode::kShared, [] {});
-  EXPECT_TRUE(f.lm.acquire(1, 100, LockMode::kExclusive,
-                           [&] { upgraded = true; }));
-  EXPECT_TRUE(upgraded);
-  EXPECT_TRUE(f.lm.holds(1, 100, LockMode::kExclusive));
-}
-
-TEST(LockTest, UpgradeWaitsForOtherSharersAndJumpsQueue) {
-  LockFixture f;
-  bool upgraded = false;
-  bool third = false;
-  f.lm.acquire(1, 100, LockMode::kShared, [] {});
-  f.lm.acquire(2, 100, LockMode::kShared, [] {});
-  EXPECT_FALSE(f.lm.acquire(1, 100, LockMode::kExclusive,
-                            [&] { upgraded = true; }));
-  // A new X request queues BEHIND the upgrade.
-  f.lm.acquire(3, 100, LockMode::kExclusive, [&] { third = true; });
-  f.lm.release(2, 100);
-  EXPECT_TRUE(upgraded);
-  EXPECT_FALSE(third);
+  f.lm.acquire(1, 100, [] {});
+  EXPECT_FALSE(f.lm.acquire(2, 100, [&] { order.push_back(2); }));
+  EXPECT_FALSE(f.lm.acquire(3, 100, [&] { order.push_back(3); }));
   f.lm.release_all(1);
-  EXPECT_TRUE(third);
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  EXPECT_TRUE(f.lm.holds(2, 100));
+  // A late arrival queues behind txn 3, not ahead of it.
+  EXPECT_FALSE(f.lm.acquire(4, 100, [&] { order.push_back(4); }));
+  f.lm.release_all(2);
+  EXPECT_EQ(order, (std::vector<int>{2, 3}));
+  f.lm.release_all(3);
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 4}));
+}
+
+TEST(LockTest, ReentrantRequestIsGrantedAtOnce) {
+  LockFixture f;
+  int granted = 0;
+  f.lm.acquire(1, 100, [&] { ++granted; });
+  EXPECT_TRUE(f.lm.acquire(1, 100, [&] { ++granted; }));
+  EXPECT_EQ(granted, 2);
+  EXPECT_EQ(f.lm.held_resources(1), 1u);
+  EXPECT_EQ(f.stats.get("lock.reentrant"), 1);
+  f.lm.release_all(1);
+  EXPECT_FALSE(f.lm.holds(1, 100));
+}
+
+TEST(LockTest, SecondQueuedRequestIsABug) {
+  LockFixture f;
+  f.lm.acquire(1, 100, [] {});
+  f.lm.acquire(2, 100, [] {});
+  EXPECT_DEATH(f.lm.acquire(2, 100, [] {}), "queued twice");
 }
 
 TEST(LockTest, TimeoutFiresAndRemovesWaiter) {
   LockFixture f;
   bool granted = false, timed_out = false;
-  f.lm.acquire(1, 100, LockMode::kExclusive, [] {});
-  f.lm.acquire(2, 100, LockMode::kExclusive, [&] { granted = true; },
-               Duration::millis(10), [&] { timed_out = true; });
+  f.lm.acquire(1, 100, [] {});
+  f.lm.acquire(2, 100, [&] { granted = true; }, Duration::millis(10),
+               [&] { timed_out = true; });
   f.sim.run();
   EXPECT_TRUE(timed_out);
   EXPECT_FALSE(granted);
@@ -121,39 +76,27 @@ TEST(LockTest, TimeoutFiresAndRemovesWaiter) {
 TEST(LockTest, GrantCancelsTimeout) {
   LockFixture f;
   bool granted = false, timed_out = false;
-  f.lm.acquire(1, 100, LockMode::kExclusive, [] {});
-  f.lm.acquire(2, 100, LockMode::kExclusive, [&] { granted = true; },
-               Duration::millis(50), [&] { timed_out = true; });
-  f.lm.release(1, 100);
+  f.lm.acquire(1, 100, [] {});
+  f.lm.acquire(2, 100, [&] { granted = true; }, Duration::millis(50),
+               [&] { timed_out = true; });
+  f.lm.release_all(1);
   f.sim.run();
   EXPECT_TRUE(granted);
   EXPECT_FALSE(timed_out);
 }
 
-TEST(LockTest, TimeoutOfMiddleWaiterUnblocksCompatibleTail) {
-  LockFixture f;
-  bool s_granted = false;
-  f.lm.acquire(1, 100, LockMode::kShared, [] {});
-  f.lm.acquire(2, 100, LockMode::kExclusive, [] {}, Duration::millis(10),
-               [] {});
-  f.lm.acquire(3, 100, LockMode::kShared, [&] { s_granted = true; });
-  EXPECT_FALSE(s_granted) << "S waits behind queued X (no barging)";
-  f.sim.run();  // X times out
-  EXPECT_TRUE(s_granted) << "tail unblocked after the X waiter expired";
-}
-
 TEST(LockTest, ReleaseAllDropsHoldsAndWaits) {
   LockFixture f;
   bool w = false;
-  f.lm.acquire(1, 100, LockMode::kExclusive, [] {});
-  f.lm.acquire(1, 101, LockMode::kExclusive, [] {});
-  f.lm.acquire(2, 100, LockMode::kExclusive, [&] { w = true; });
-  f.lm.acquire(2, 102, LockMode::kExclusive, [] {});
+  f.lm.acquire(1, 100, [] {});
+  f.lm.acquire(1, 101, [] {});
+  f.lm.acquire(2, 100, [&] { w = true; });
+  f.lm.acquire(2, 102, [] {});
   f.lm.release_all(1);
   EXPECT_TRUE(w);
   EXPECT_EQ(f.lm.held_resources(1), 0u);
   // Txn 2 still holds what it acquired.
-  EXPECT_TRUE(f.lm.holds(2, 100, LockMode::kExclusive));
+  EXPECT_TRUE(f.lm.holds(2, 100));
   f.lm.release_all(2);
   EXPECT_EQ(f.lm.held_resources(2), 0u);
 }
@@ -161,53 +104,23 @@ TEST(LockTest, ReleaseAllDropsHoldsAndWaits) {
 TEST(LockTest, ReleaseAllCancelsOwnQueuedRequests) {
   LockFixture f;
   bool leaked = false;
-  f.lm.acquire(1, 100, LockMode::kExclusive, [] {});
-  f.lm.acquire(2, 100, LockMode::kExclusive, [&] { leaked = true; });
+  f.lm.acquire(1, 100, [] {});
+  f.lm.acquire(2, 100, [&] { leaked = true; });
   f.lm.release_all(2);  // abandon the queued request
   f.lm.release_all(1);
   EXPECT_FALSE(leaked) << "released waiter must never be granted";
 }
 
-TEST(LockTest, DeadlockDetectorFindsCycle) {
-  LockFixture f;
-  f.lm.acquire(1, 100, LockMode::kExclusive, [] {});
-  f.lm.acquire(2, 200, LockMode::kExclusive, [] {});
-  f.lm.acquire(1, 200, LockMode::kExclusive, [] {});  // 1 waits on 2
-  f.lm.acquire(2, 100, LockMode::kExclusive, [] {});  // 2 waits on 1
-  const auto victims = f.lm.find_deadlock_victims();
-  ASSERT_EQ(victims.size(), 1u);
-  EXPECT_EQ(victims[0], 2u) << "youngest transaction is the victim";
-}
-
-TEST(LockTest, NoFalseDeadlocks) {
-  LockFixture f;
-  f.lm.acquire(1, 100, LockMode::kExclusive, [] {});
-  f.lm.acquire(2, 100, LockMode::kExclusive, [] {});
-  f.lm.acquire(3, 100, LockMode::kExclusive, [] {});
-  EXPECT_TRUE(f.lm.find_deadlock_victims().empty());
-}
-
 TEST(LockTest, ResetClearsEverythingAndCancelsTimers) {
   LockFixture f;
   bool timed_out = false;
-  f.lm.acquire(1, 100, LockMode::kExclusive, [] {});
-  f.lm.acquire(2, 100, LockMode::kExclusive, [] {}, Duration::millis(10),
-               [&] { timed_out = true; });
+  f.lm.acquire(1, 100, [] {});
+  f.lm.acquire(2, 100, [] {}, Duration::millis(10), [&] { timed_out = true; });
   f.lm.reset();
   f.sim.run();
   EXPECT_FALSE(timed_out);
-  EXPECT_FALSE(f.lm.holds(1, 100, LockMode::kExclusive));
+  EXPECT_FALSE(f.lm.holds(1, 100));
   EXPECT_EQ(f.lm.waiting_count(100), 0u);
-}
-
-TEST(LockTest, WaitTimesRecorded) {
-  LockFixture f;
-  f.lm.acquire(1, 100, LockMode::kExclusive, [] {});
-  f.lm.acquire(2, 100, LockMode::kExclusive, [] {});
-  f.sim.schedule_after(Duration::millis(30), [&] { f.lm.release(1, 100); });
-  f.sim.run();
-  EXPECT_EQ(f.lm.wait_times().count(), 1u);
-  EXPECT_EQ(f.lm.wait_times().mean_duration(), Duration::millis(30));
 }
 
 }  // namespace

@@ -161,24 +161,12 @@ TEST(TransactionTest, WideTransactionHasNoSoleWorker) {
   EXPECT_EQ(txn.participant(3).node, NodeId(3));
 }
 
-TEST(TransactionTest, ObjectsAtDeduplicates) {
-  Transaction txn;
-  txn.participants.push_back(
-      Participant{NodeId(0),
-                  {make_op(OpType::kAddDentry, 1, "a", 5),
-                   make_op(OpType::kRemoveDentry, 1, "b", 6)}});
-  const auto objs = txn.objects_at(NodeId(0));
-  ASSERT_EQ(objs.size(), 1u);
-  EXPECT_EQ(objs[0], ObjectId(1));
-  EXPECT_TRUE(txn.objects_at(NodeId(9)).empty());
-}
-
 // ---------------------------------------------------------------------------
 
 TEST(SerializabilityTest, DisjointTxnsAreSerializable) {
   HistoryRecorder h;
-  h.record_access(1, ObjectId(10), true, SimTime::zero());
-  h.record_access(2, ObjectId(20), true, SimTime::zero());
+  h.record_access(1, ObjectId(10), SimTime::zero());
+  h.record_access(2, ObjectId(20), SimTime::zero());
   h.record_commit(1);
   h.record_commit(2);
   EXPECT_TRUE(h.serializable());
@@ -187,8 +175,8 @@ TEST(SerializabilityTest, DisjointTxnsAreSerializable) {
 
 TEST(SerializabilityTest, OrderedConflictIsSerializable) {
   HistoryRecorder h;
-  h.record_access(1, ObjectId(10), true, SimTime::zero());
-  h.record_access(2, ObjectId(10), true,
+  h.record_access(1, ObjectId(10), SimTime::zero());
+  h.record_access(2, ObjectId(10),
                   SimTime::zero() + Duration::millis(1));
   h.record_commit(1);
   h.record_commit(2);
@@ -200,29 +188,22 @@ TEST(SerializabilityTest, CycleIsDetected) {
   HistoryRecorder h;
   // t1 writes A before t2; t2 writes B before t1 — classic non-serializable
   // interleaving (impossible under strict 2PL, constructible by hand).
-  h.record_access(1, ObjectId(1), true, SimTime::zero());
-  h.record_access(2, ObjectId(1), true, SimTime::zero() + Duration::millis(1));
-  h.record_access(2, ObjectId(2), true, SimTime::zero() + Duration::millis(2));
-  h.record_access(1, ObjectId(2), true, SimTime::zero() + Duration::millis(3));
+  h.record_access(1, ObjectId(1), SimTime::zero());
+  h.record_access(2, ObjectId(1), SimTime::zero() + Duration::millis(1));
+  h.record_access(2, ObjectId(2), SimTime::zero() + Duration::millis(2));
+  h.record_access(1, ObjectId(2), SimTime::zero() + Duration::millis(3));
   h.record_commit(1);
   h.record_commit(2);
   EXPECT_FALSE(h.serializable());
   EXPECT_TRUE(h.serialization_order().empty());
 }
 
-TEST(SerializabilityTest, ReadsDoNotConflictWithReads) {
+TEST(SerializabilityTest, RepeatedConflictsMakeOneEdge) {
   HistoryRecorder h;
-  h.record_access(1, ObjectId(1), false, SimTime::zero());
-  h.record_access(2, ObjectId(1), false, SimTime::zero() + Duration::millis(1));
-  h.record_commit(1);
-  h.record_commit(2);
-  EXPECT_TRUE(h.conflict_edges().empty());
-}
-
-TEST(SerializabilityTest, ReadWriteConflictsCount) {
-  HistoryRecorder h;
-  h.record_access(1, ObjectId(1), false, SimTime::zero());
-  h.record_access(2, ObjectId(1), true, SimTime::zero() + Duration::millis(1));
+  h.record_access(1, ObjectId(1), SimTime::zero());
+  h.record_access(1, ObjectId(2), SimTime::zero());
+  h.record_access(2, ObjectId(1), SimTime::zero() + Duration::millis(1));
+  h.record_access(2, ObjectId(2), SimTime::zero() + Duration::millis(1));
   h.record_commit(1);
   h.record_commit(2);
   EXPECT_EQ(h.conflict_edges().size(), 1u);
@@ -231,8 +212,8 @@ TEST(SerializabilityTest, ReadWriteConflictsCount) {
 
 TEST(SerializabilityTest, AbortedTxnsAreIgnored) {
   HistoryRecorder h;
-  h.record_access(1, ObjectId(1), true, SimTime::zero());
-  h.record_access(2, ObjectId(1), true, SimTime::zero() + Duration::millis(1));
+  h.record_access(1, ObjectId(1), SimTime::zero());
+  h.record_access(2, ObjectId(1), SimTime::zero() + Duration::millis(1));
   h.record_commit(1);
   h.record_abort(2);
   EXPECT_TRUE(h.conflict_edges().empty());
@@ -247,7 +228,7 @@ TEST(SerializabilityTest, EmptyHistoryIsSerializable) {
 TEST(SerializabilityTest, LongChainOrdersCorrectly) {
   HistoryRecorder h;
   for (TxnId t = 1; t <= 20; ++t) {
-    h.record_access(t, ObjectId(5), true,
+    h.record_access(t, ObjectId(5),
                     SimTime::zero() + Duration::millis(static_cast<int>(t)));
     h.record_commit(t);
   }
