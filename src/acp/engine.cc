@@ -77,12 +77,6 @@ void AcpEngine::destroy_work(TxnId id) {
   }
 }
 
-std::optional<TxnOutcome> AcpEngine::outcome_of(TxnId txn) const {
-  const TxnOutcome* p = finished_.find(txn);
-  if (p == nullptr) return std::nullopt;
-  return *p;
-}
-
 void AcpEngine::sorted_objects_into(const std::vector<Operation>& ops,
                                     std::vector<ObjectId>& out) const {
   out.clear();

@@ -100,7 +100,6 @@ class AcpEngine {
   [[nodiscard]] std::size_t work_pool_created() const {
     return work_pool_.created();
   }
-  [[nodiscard]] std::optional<TxnOutcome> outcome_of(TxnId txn) const;
   [[nodiscard]] const Histogram& client_latency() const { return latency_; }
   [[nodiscard]] std::uint64_t committed_count() const { return committed_; }
   [[nodiscard]] std::uint64_t aborted_count() const { return aborted_; }

@@ -2,28 +2,21 @@
 
 namespace opc {
 
-Cluster::Cluster(Simulator& sim, ClusterConfig cfg, StatsRegistry& stats,
-                 TraceRecorder& trace)
-    : sim_(sim), env_(sim, cfg.seed), cfg_(cfg), stats_(stats),
-      trace_(trace) {
-  net_ = std::make_unique<Network>(env_, cfg_.net, stats, trace, cfg_.seed);
-  storage_ = std::make_unique<SharedStorage>(env_, stats, trace);
-  fencing_ = std::make_unique<StonithController>(
-      env_, *storage_, stats, trace, cfg_.fencing,
-      [this](NodeId id) { crash_node(id); },
-      [this](NodeId id) { reboot_node(id); });
-
-  for (std::uint32_t i = 0; i < cfg_.n_nodes; ++i) {
+NodeGroup::NodeGroup(Env& env, Transport& net, SharedStorage& storage,
+                     const ClusterConfig& cfg, FencingService* fencing,
+                     HistoryRecorder* history,
+                     const std::function<NodeSinks(std::uint32_t)>& sinks) {
+  for (std::uint32_t i = 0; i < cfg.n_nodes; ++i) {
     const NodeId id(i);
-    LogPartition& part = storage_->add_partition(id, cfg_.disk);
+    const NodeSinks s = sinks(i);
+    LogPartition& part = storage.add_partition(id, cfg.disk, s.stats, s.trace);
     nodes_.push_back(std::make_unique<MdsNode>(
-        env_, id, cfg_.protocol, cfg_.acp, cfg_.wal, cfg_.heartbeat, *net_,
-        *storage_, part, stats, trace, fencing_.get(),
-        cfg_.record_history ? &history_ : nullptr, cfg_.phase_log));
+        env, id, cfg.protocol, cfg.acp, cfg.wal, cfg.heartbeat, net, storage,
+        part, s.stats, s.trace, fencing, history, cfg.phase_log));
   }
-  for (std::uint32_t i = 0; i < cfg_.n_nodes; ++i) {
+  for (std::uint32_t i = 0; i < cfg.n_nodes; ++i) {
     std::vector<NodeId> peers;
-    for (std::uint32_t j = 0; j < cfg_.n_nodes; ++j) {
+    for (std::uint32_t j = 0; j < cfg.n_nodes; ++j) {
       if (j != i) peers.emplace_back(j);
     }
     nodes_[i]->set_peers(std::move(peers));
@@ -31,13 +24,25 @@ Cluster::Cluster(Simulator& sim, ClusterConfig cfg, StatsRegistry& stats,
   }
 }
 
-void Cluster::bootstrap_directory(ObjectId dir, NodeId home) {
-  Inode ino;
-  ino.id = dir;
-  ino.is_dir = true;
-  ino.nlink = 1;
-  node(home).store().bootstrap_inode(ino);
+std::vector<const MetaStore*> NodeGroup::stores() const {
+  std::vector<const MetaStore*> out;
+  out.reserve(nodes_.size());
+  for (const auto& n : nodes_) out.push_back(&n->store());
+  return out;
 }
+
+Cluster::Cluster(Simulator& sim, ClusterConfig cfg, StatsRegistry& stats,
+                 TraceRecorder& trace)
+    : sim_(sim), env_(sim, cfg.seed), cfg_(cfg), trace_(trace),
+      net_(env_, cfg_.net, stats, trace, cfg_.seed),
+      storage_(env_, stats, trace),
+      fencing_(
+          env_, storage_, stats, trace, cfg_.fencing,
+          [this](NodeId id) { crash_node(id); },
+          [this](NodeId id) { reboot_node(id); }),
+      nodes_(env_, net_, storage_, cfg_, &fencing_,
+             cfg_.record_history ? &history_ : nullptr,
+             [&](std::uint32_t) { return NodeSinks{stats, trace}; }) {}
 
 void Cluster::crash_node(NodeId id) {
   MdsNode& n = node(id);
@@ -49,7 +54,7 @@ void Cluster::crash_node(NodeId id) {
 void Cluster::reboot_node(NodeId id, std::function<void()> on_recovered) {
   MdsNode& n = node(id);
   if (n.alive()) return;
-  if (fencing_->held(id)) return;  // STONITH holds the node down
+  if (fencing_.held(id)) return;  // STONITH holds the node down
   trace_.record(sim_.now(), TraceKind::kReboot, id.str(), "node power on");
   n.reboot(std::move(on_recovered));
 }
@@ -64,10 +69,6 @@ void Cluster::schedule_crash(NodeId id, Duration after,
   });
 }
 
-void Cluster::schedule_reboot(NodeId id, Duration after) {
-  sim_.schedule_after(after, [this, id] { reboot_node(id); });
-}
-
 void Cluster::schedule_partition(NodeId a, NodeId b, Duration from,
                                  Duration until, bool asymmetric) {
   sim_.schedule_after(from, [this, a, b, asymmetric] {
@@ -75,16 +76,16 @@ void Cluster::schedule_partition(NodeId a, NodeId b, Duration from,
                   std::string(asymmetric ? "partition -> " : "partition <-> ") +
                       b.str());
     if (asymmetric) {
-      net_->sever(a, b);
+      net_.sever(a, b);
     } else {
-      net_->sever_pair(a, b);
+      net_.sever_pair(a, b);
     }
   });
   if (until > from) {
     sim_.schedule_after(until, [this, a, b] {
       trace_.record(sim_.now(), TraceKind::kInfo, a.str(),
                     "partition healed <-> " + b.str());
-      net_->heal_pair(a, b);
+      net_.heal_pair(a, b);
     });
   }
 }
@@ -94,13 +95,13 @@ void Cluster::schedule_disk_degrade(NodeId id, Duration from, Duration until,
   sim_.schedule_after(from, [this, id, factor] {
     trace_.record(sim_.now(), TraceKind::kInfo, id.str(),
                   "log device degraded x" + std::to_string(factor));
-    storage_->partition(id).device().set_degrade_factor(factor);
+    storage_.partition(id).device().set_degrade_factor(factor);
   });
   if (until > from) {
     sim_.schedule_after(until, [this, id] {
       trace_.record(sim_.now(), TraceKind::kInfo, id.str(),
                     "log device restored");
-      storage_->partition(id).device().set_degrade_factor(1.0);
+      storage_.partition(id).device().set_degrade_factor(1.0);
     });
   }
 }
@@ -119,18 +120,6 @@ void Cluster::schedule_heartbeat_mute(NodeId id, Duration from,
       node(id).set_heartbeat_muted(false);
     });
   }
-}
-
-std::vector<const MetaStore*> Cluster::stores() const {
-  std::vector<const MetaStore*> out;
-  out.reserve(nodes_.size());
-  for (const auto& n : nodes_) out.push_back(&n->store());
-  return out;
-}
-
-std::vector<InvariantViolation> Cluster::check_invariants(
-    const std::vector<ObjectId>& roots) const {
-  return opc::check_invariants(stores(), roots);
 }
 
 }  // namespace opc

@@ -1,7 +1,9 @@
 // Cluster wiring: N metadata servers over one network and one shared
-// storage device, with failure-injection controls.
+// storage device, with failure-injection controls.  NodeGroup is the node
+// wiring itself, which the live RtCluster (src/rt/rt_cluster.h) shares.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -34,30 +36,69 @@ struct ClusterConfig {
   obs::PhaseLog* phase_log = nullptr;
 };
 
+/// Where one node's log partition and MdsNode report.
+struct NodeSinks {
+  StatsRegistry& stats;
+  TraceRecorder& trace;
+};
+
+/// N MdsNodes over one Env, Transport and SharedStorage.
+class NodeGroup {
+ public:
+  /// Builds, in id order, each node's log partition and MdsNode reporting
+  /// to sinks(i), then gives every node its peers and starts it.  Reads
+  /// cfg's n_nodes, protocol, acp, wal, disk, heartbeat and phase_log.
+  NodeGroup(Env& env, Transport& net, SharedStorage& storage,
+            const ClusterConfig& cfg, FencingService* fencing,
+            HistoryRecorder* history,
+            const std::function<NodeSinks(std::uint32_t)>& sinks);
+
+  [[nodiscard]] std::uint32_t size() const {
+    return static_cast<std::uint32_t>(nodes_.size());
+  }
+  [[nodiscard]] MdsNode& node(NodeId id) const {
+    return *nodes_.at(id.value());
+  }
+
+  /// Seeds a directory inode on its home MDS (root directories etc.).
+  void bootstrap_directory(ObjectId dir, NodeId home) const {
+    node(home).store().bootstrap_inode(Inode{dir, /*is_dir=*/true, 1, 0});
+  }
+
+  /// Stable-state snapshot of every MDS, for the invariant checker.
+  [[nodiscard]] std::vector<const MetaStore*> stores() const;
+
+  /// Runs the namespace invariant checker over all stable state.
+  [[nodiscard]] std::vector<InvariantViolation> check_invariants(
+      const std::vector<ObjectId>& roots) const {
+    return opc::check_invariants(stores(), roots);
+  }
+
+ private:
+  std::vector<std::unique_ptr<MdsNode>> nodes_;
+};
+
 class Cluster {
  public:
   /// The cluster stays constructible from a bare Simulator — it owns the
   /// SimEnv adapter internally, so the dozens of simulation tests and
   /// benches keep their wiring while every component below runs against
-  /// Env.  (The real-time backend wires MdsNode directly; see src/rt.)
+  /// Env.  Every node reports to `stats` and `trace`.
   Cluster(Simulator& sim, ClusterConfig cfg, StatsRegistry& stats,
           TraceRecorder& trace);
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  [[nodiscard]] std::uint32_t size() const {
-    return static_cast<std::uint32_t>(nodes_.size());
-  }
-  [[nodiscard]] MdsNode& node(NodeId id) {
-    return *nodes_.at(id.value());
-  }
+  [[nodiscard]] std::uint32_t size() const { return nodes_.size(); }
+  [[nodiscard]] MdsNode& node(NodeId id) { return nodes_.node(id); }
+  [[nodiscard]] NodeGroup& nodes() { return nodes_; }
   [[nodiscard]] AcpEngine& engine(NodeId id) { return node(id).engine(); }
   [[nodiscard]] MetaStore& store(NodeId id) { return node(id).store(); }
-  [[nodiscard]] SharedStorage& storage() { return *storage_; }
-  [[nodiscard]] Network& network() { return *net_; }
+  [[nodiscard]] SharedStorage& storage() { return storage_; }
+  [[nodiscard]] Network& network() { return net_; }
   [[nodiscard]] Env& env() { return env_; }
-  [[nodiscard]] StonithController& fencing() { return *fencing_; }
+  [[nodiscard]] StonithController& fencing() { return fencing_; }
   [[nodiscard]] HistoryRecorder* history() {
     return cfg_.record_history ? &history_ : nullptr;
   }
@@ -70,7 +111,9 @@ class Cluster {
   }
 
   /// Seeds a directory inode on its home MDS (root directories etc.).
-  void bootstrap_directory(ObjectId dir, NodeId home);
+  void bootstrap_directory(ObjectId dir, NodeId home) {
+    nodes_.bootstrap_directory(dir, home);
+  }
 
   // --- Failure injection ---
   // One-shot hooks plus first-class *scheduled* variants; the chaos
@@ -81,10 +124,8 @@ class Cluster {
                    std::function<void()> on_recovered = nullptr);
   void schedule_crash(NodeId id, Duration after,
                       Duration reboot_after = Duration::zero());
-  /// Powers the node back on at now+after (no-op if up or STONITH-held).
-  void schedule_reboot(NodeId id, Duration after);
-  void partition_pair(NodeId a, NodeId b) { net_->sever_pair(a, b); }
-  void heal_pair(NodeId a, NodeId b) { net_->heal_pair(a, b); }
+  void partition_pair(NodeId a, NodeId b) { net_.sever_pair(a, b); }
+  void heal_pair(NodeId a, NodeId b) { net_.heal_pair(a, b); }
   /// Severs a<->b (or only a->b when `asymmetric`) during [from, until).
   /// `until` <= `from` means the partition stays until healed explicitly.
   void schedule_partition(NodeId a, NodeId b, Duration from, Duration until,
@@ -97,24 +138,24 @@ class Cluster {
   /// node stays up but peers falsely suspect it (split-brain exercise).
   void schedule_heartbeat_mute(NodeId id, Duration from, Duration until);
 
-  /// Stable-state snapshot of every MDS, for the invariant checker.
-  [[nodiscard]] std::vector<const MetaStore*> stores() const;
-
-  /// Runs the namespace invariant checker over all stable state.
+  [[nodiscard]] std::vector<const MetaStore*> stores() const {
+    return nodes_.stores();
+  }
   [[nodiscard]] std::vector<InvariantViolation> check_invariants(
-      const std::vector<ObjectId>& roots) const;
+      const std::vector<ObjectId>& roots) const {
+    return nodes_.check_invariants(roots);
+  }
 
  private:
   Simulator& sim_;
   SimEnv env_;
   ClusterConfig cfg_;
-  StatsRegistry& stats_;
   TraceRecorder& trace_;
   HistoryRecorder history_;
-  std::unique_ptr<Network> net_;
-  std::unique_ptr<SharedStorage> storage_;
-  std::unique_ptr<StonithController> fencing_;
-  std::vector<std::unique_ptr<MdsNode>> nodes_;
+  Network net_;
+  SharedStorage storage_;
+  StonithController fencing_;
+  NodeGroup nodes_;
 };
 
 }  // namespace opc

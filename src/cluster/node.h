@@ -52,7 +52,6 @@ class MdsNode {
   /// exactly the unreliable-failure-detection hazard (paper §III-A) that
   /// forces 1PC recovery to fence before reading a foreign log.
   void set_heartbeat_muted(bool muted) { hb_muted_ = muted; }
-  [[nodiscard]] bool heartbeat_muted() const { return hb_muted_; }
   [[nodiscard]] AcpEngine& engine() { return engine_; }
   [[nodiscard]] MetaStore& store() { return store_; }
   [[nodiscard]] const MetaStore& store() const { return store_; }

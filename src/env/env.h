@@ -7,7 +7,7 @@
 //   * now()            — the current time on the executor's clock.
 //   * schedule_at/after — run a callback later, with a cancellable handle.
 //   * cancel()         — revoke a pending callback (stale handles are
-//                        harmless no-ops, as with EventHandle).
+//                        harmless no-ops).
 //   * rng()            — a deterministic-per-executor random stream for
 //                        code written against Env (pre-existing consumers
 //                        such as Network keep their own seeded streams, so
@@ -24,32 +24,15 @@
 #include <utility>
 
 #include "sim/check.h"
-#include "sim/inline_callback.h"
+#include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 
 namespace opc {
 
-/// Executor-neutral handle to a scheduled callback.  Mirrors EventHandle's
-/// (slot, generation) scheme: executors recycle slots and bump generations,
-/// so a handle to an already-fired or cancelled timer simply fails the
-/// generation check inside cancel().
-class TimerHandle {
- public:
-  TimerHandle() = default;
-  TimerHandle(std::uint32_t slot, std::uint32_t gen)
-      : slot_(slot), gen_(gen) {}
-
-  /// True if this handle was ever bound to a scheduled timer.
-  [[nodiscard]] bool valid() const { return gen_ != 0; }
-
-  [[nodiscard]] std::uint32_t slot() const { return slot_; }
-  [[nodiscard]] std::uint32_t gen() const { return gen_; }
-
- private:
-  std::uint32_t slot_ = 0;
-  std::uint32_t gen_ = 0;  // live generations are never 0
-};
+/// Executor-neutral handle to a scheduled callback: the event queue's
+/// (slot, generation) handle, which both executors hand out.
+using TimerHandle = EventHandle;
 
 /// Abstract execution environment.  Virtual dispatch sits one level above
 /// the simulator's inlined hot path: the kernel benchmarks drive Simulator

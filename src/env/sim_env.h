@@ -25,14 +25,10 @@ class SimEnv final : public Env {
   [[nodiscard]] SimTime now() const override { return sim_.now(); }
 
   TimerHandle schedule_at(SimTime when, Callback cb) override {
-    const EventHandle h = sim_.schedule_at(when, std::move(cb));
-    return TimerHandle{h.slot_, h.gen_};
+    return sim_.schedule_at(when, std::move(cb));
   }
 
-  bool cancel(TimerHandle h) override {
-    if (!h.valid()) return false;
-    return sim_.cancel(EventHandle{h.slot(), h.gen()});
-  }
+  bool cancel(TimerHandle h) override { return sim_.cancel(h); }
 
   [[nodiscard]] Rng& rng() override { return rng_; }
 

@@ -27,7 +27,6 @@ namespace opc {
 class IdAllocator {
  public:
   [[nodiscard]] ObjectId next() { return ObjectId(next_++); }
-  [[nodiscard]] std::uint64_t peek() const { return next_; }
 
  private:
   std::uint64_t next_ = 1;

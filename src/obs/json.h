@@ -25,7 +25,6 @@ class JsonValue {
   std::map<std::string, JsonValue> object;
 
   [[nodiscard]] bool is_object() const { return type == Type::kObject; }
-  [[nodiscard]] bool is_array() const { return type == Type::kArray; }
 
   /// Object member lookup; returns null-typed sentinel when absent.
   [[nodiscard]] const JsonValue& operator[](std::string_view key) const;

@@ -79,7 +79,6 @@ class RpcClient {
                                  double timeout_s = 5.0);
 
  private:
-  [[nodiscard]] bool finish_connect(double deadline_wall);
   [[nodiscard]] bool pump(bool want_reply, double timeout_s);
   [[nodiscard]] bool wait_for(std::uint64_t id, Reply& out, double timeout_s);
   void fail(const std::string& why);

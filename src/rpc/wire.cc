@@ -61,19 +61,6 @@ void put_name(WireBuf& out, std::string_view name) {
 
 }  // namespace
 
-const char* status_name(Status s) {
-  switch (s) {
-    case Status::kOk: return "ok";
-    case Status::kAborted: return "aborted";
-    case Status::kBusy: return "busy";
-    case Status::kBadRequest: return "bad_request";
-    case Status::kNotFound: return "not_found";
-    case Status::kTimeout: return "timeout";
-    case Status::kShutdown: return "shutdown";
-  }
-  return "unknown";
-}
-
 void encode_ping(WireBuf& out, std::uint64_t id) {
   end_frame(out, begin_frame(out, MsgType::kPing, id));
 }

@@ -55,8 +55,6 @@ enum class Status : std::uint8_t {
   kShutdown = 6,  // server is draining; no new work accepted
 };
 
-[[nodiscard]] const char* status_name(Status s);
-
 /// A decoded request, viewing name bytes inside the connection's read
 /// buffer — valid only until that buffer is consumed/compacted.
 struct Request {

@@ -86,36 +86,22 @@ TimerHandle RtEnv::schedule_on(std::uint32_t worker, SimTime when,
 TimerHandle RtEnv::arm(std::uint32_t index, SimTime when, Callback cb) {
   Worker& w = *workers_[index];
   pending_.fetch_add(1, std::memory_order_seq_cst);
-  std::uint32_t slot_idx;
-  std::uint32_t gen;
+  EventHandle h;
   bool new_front;
   {
     std::lock_guard<std::mutex> lk(w.mu);
-    if (w.free_head != kNilSlot) {
-      slot_idx = w.free_head;
-      w.free_head = w.slots[slot_idx].next_free;
-    } else {
-      slot_idx = static_cast<std::uint32_t>(w.slots.size());
-      SIM_CHECK_MSG(slot_idx < kSlotMask, "worker timer slot space exhausted");
-      w.slots.emplace_back();
-    }
-    Slot& s = w.slots[slot_idx];
-    s.cb = std::move(cb);
-    s.armed = true;
-    if (s.gen == 0) s.gen = 1;  // skip the reserved "never armed" value
-    gen = s.gen;
-    const std::uint64_t seq = w.next_seq++;
-    w.heap.push_back(Entry{when.count_nanos(), seq, slot_idx, gen});
-    std::push_heap(w.heap.begin(), w.heap.end(), EntryLater{});
-    // Only a new earliest deadline changes what the worker waits for.
-    new_front = w.heap.front().seq == seq;
+    // Only a new earliest deadline changes what the worker waits for; an
+    // equal one queues behind the current head (FIFO).
+    new_front =
+        w.timers.empty() || when.count_nanos() < w.timers.top_when();
+    h = w.timers.push(when.count_nanos(), std::move(cb));
     if (new_front) {
       w.front_ns.store(when.count_nanos(), std::memory_order_release);
     }
   }
   // The worker itself is running a callback, not waiting: nothing to wake.
   if (new_front && current_worker() != index) w.cv.notify_one();
-  return TimerHandle{(index << kSlotBits) | slot_idx, gen};
+  return TimerHandle{(index << kSlotBits) | h.slot(), h.gen()};
 }
 
 bool RtEnv::cancel(TimerHandle h) {
@@ -123,18 +109,11 @@ bool RtEnv::cancel(TimerHandle h) {
   const std::uint32_t index = h.slot() >> kSlotBits;
   if (index >= workers_.size()) return false;
   Worker& w = *workers_[index];
-  const std::uint32_t slot_idx = h.slot() & kSlotMask;
   {
     std::lock_guard<std::mutex> lk(w.mu);
-    if (slot_idx >= w.slots.size()) return false;
-    Slot& s = w.slots[slot_idx];
-    if (!s.armed || s.gen != h.gen()) return false;
-    s.cb.reset();
-    s.armed = false;
-    ++s.gen;
-    s.next_free = w.free_head;
-    w.free_head = slot_idx;
-    // The heap entry stays; the dispatch loop skips it on the gen check.
+    if (!w.timers.cancel(EventHandle{h.slot() & kSlotMask, h.gen()})) {
+      return false;
+    }
   }
   pending_.fetch_sub(1, std::memory_order_seq_cst);
   return true;
@@ -157,27 +136,21 @@ void RtEnv::worker_loop(std::uint32_t index) {
 #endif
   using Clock = std::chrono::steady_clock;
   Worker& w = *workers_[index];
-  std::uint64_t polled_seq = UINT64_MAX;  // entry whose wait ended in a poll
+  std::uint64_t polled_seq = 0;  // timer whose wait ended in a poll
   std::unique_lock<std::mutex> lk(w.mu);
   while (true) {
     if (w.stopping) return;
-    if (w.heap.empty()) {
+    if (w.timers.empty()) {
       ++w.sleeps;
       w.cv.wait(lk);
       continue;
     }
-    const Entry e = w.heap.front();
-    // Stale entry (cancelled or superseded): drop without running.
-    if (e.slot >= w.slots.size() || !w.slots[e.slot].armed ||
-        w.slots[e.slot].gen != e.gen) {
-      std::pop_heap(w.heap.begin(), w.heap.end(), EntryLater{});
-      w.heap.pop_back();
-      continue;
-    }
-    const auto deadline = start_ + std::chrono::nanoseconds(e.when_ns);
+    const std::int64_t when_ns = w.timers.top_when();
+    const std::uint64_t seq = w.timers.top_seq();
+    const auto deadline = start_ + std::chrono::nanoseconds(when_ns);
     const auto fire_time = Clock::now();
     if (fire_time < deadline) {
-      w.front_ns.store(e.when_ns, std::memory_order_relaxed);
+      w.front_ns.store(when_ns, std::memory_order_relaxed);
       const auto wake_at = deadline - std::chrono::nanoseconds(w.lead_ns);
       if (fire_time < wake_at) {
         // Phase 1: sleep until the lead before the deadline.  A timed-out
@@ -196,30 +169,22 @@ void RtEnv::worker_loop(std::uint32_t index) {
       // Phase 2: poll the clock until the deadline, unless arm() brings an
       // earlier timer or stop() is called.
       lk.unlock();
-      while (w.front_ns.load(std::memory_order_acquire) >= e.when_ns) {
+      while (w.front_ns.load(std::memory_order_acquire) >= when_ns) {
         if (Clock::now() >= deadline) {
-          polled_seq = e.seq;
+          polled_seq = seq;
           break;
         }
         cpu_relax();
       }
       lk.lock();
-      continue;
+      continue;  // re-examine: the head may have been cancelled meanwhile
     }
     ++w.fired;
-    if (e.seq == polled_seq) ++w.polled;
+    if (seq == polled_seq) ++w.polled;
     w.late_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
                      fire_time - deadline)
                      .count();
-    std::pop_heap(w.heap.begin(), w.heap.end(), EntryLater{});
-    w.heap.pop_back();
-    Slot& s = w.slots[e.slot];
-    Callback cb = std::move(s.cb);
-    s.cb.reset();
-    s.armed = false;
-    ++s.gen;
-    s.next_free = w.free_head;
-    w.free_head = e.slot;
+    Callback cb = w.timers.pop();
     lk.unlock();
     cb();  // run-to-completion; may schedule on any worker
     // Decrement only after the callback finished so wait_idle()'s zero

@@ -1,18 +1,18 @@
 // Real-time Env: the same protocol code, on real threads and a real clock.
 //
 // RtEnv implements opc::Env over std::chrono::steady_clock with one worker
-// thread per node.  Each worker owns a timer wheel (a mutex-guarded
-// (when, seq) min-heap with generation-counted slots, the same cancellation
-// scheme as the simulator kernel) and executes callbacks strictly one at a
-// time, so every component wired to a single node — engine, WAL, lock
-// manager, disk model — keeps the simulator's run-to-completion,
-// single-threaded execution model without any code change.  Cross-node
+// thread per node.  Each worker keeps its timers in the simulator's own
+// EventQueue (src/sim/event_queue.h), guarded by the worker's mutex, and
+// executes callbacks strictly one at a time, so every component wired to
+// a single node — engine, WAL, lock manager, disk model — keeps the
+// simulator's run-to-completion, single-threaded execution model without
+// any code change.  Cross-node
 // concurrency is real: workers run in parallel and interact only through
 // the Transport (src/rt/rt_transport.h) and explicit cross-thread
 // schedule_on / post calls.
 //
 // Affinity rule: schedule_at()/schedule_after() called from a worker thread
-// lands on that worker's own wheel (thread-local affinity); called from a
+// lands on that worker's own queue (thread-local affinity); called from a
 // non-worker thread (the driver) it lands on worker 0.  A thread is a worker
 // only of the RtEnv that spawned it: a worker of another RtEnv counts as a
 // driver here.  Drivers that need a specific target use post()/schedule_on().
@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "env/env.h"
+#include "sim/event_queue.h"
 #include "stats/counters.h"
 
 namespace opc {
@@ -54,7 +55,7 @@ class RtEnv final : public Env {
   /// Nanoseconds of steady_clock time since this RtEnv was constructed,
   /// presented on the simulated-time axis so timer math is shared.
   [[nodiscard]] SimTime now() const override;
-  /// Schedules on the calling worker's wheel (worker 0 from outside).
+  /// Schedules on the calling worker's queue (worker 0 from outside).
   TimerHandle schedule_at(SimTime when, Callback cb) override;
   bool cancel(TimerHandle h) override;
   /// The calling worker's private stream (worker 0's from outside).
@@ -65,7 +66,7 @@ class RtEnv final : public Env {
     return static_cast<std::uint32_t>(workers_.size());
   }
 
-  /// Schedules on a specific worker's wheel from any thread.
+  /// Schedules on a specific worker's queue from any thread.
   TimerHandle schedule_on(std::uint32_t worker, SimTime when, Callback cb);
 
   /// Runs `cb` on `worker` as soon as it drains earlier-scheduled work.
@@ -94,38 +95,15 @@ class RtEnv final : public Env {
   void export_stats(StatsRegistry& stats) const;
 
  private:
-  // A worker-slot address packs into TimerHandle::slot(): worker index in
-  // the high byte, slot index in the low 24 bits.
+  // A timer handle packs the worker index into the top byte of
+  // TimerHandle::slot() and the worker queue's slot into the low 24 bits.
   static constexpr std::uint32_t kSlotBits = 24;
   static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
-  static constexpr std::uint32_t kNilSlot = 0xFFFFFFFF;
-
-  struct Slot {
-    Callback cb;
-    std::uint32_t gen = 1;       // live generations are never 0
-    std::uint32_t next_free = kNilSlot;
-    bool armed = false;
-  };
-
-  struct Entry {
-    std::int64_t when_ns;
-    std::uint64_t seq;  // per-worker tie-break, FIFO at equal times
-    std::uint32_t slot;
-    std::uint32_t gen;
-  };
-  struct EntryLater {
-    bool operator()(const Entry& a, const Entry& b) const {
-      return a.when_ns != b.when_ns ? a.when_ns > b.when_ns : a.seq > b.seq;
-    }
-  };
 
   struct Worker {
     std::mutex mu;
     std::condition_variable cv;
-    std::vector<Slot> slots;
-    std::uint32_t free_head = kNilSlot;
-    std::vector<Entry> heap;  // min-heap via std::push_heap/EntryLater
-    std::uint64_t next_seq = 0;
+    EventQueue timers;
     std::int64_t fired = 0;    // dispatch counters; see export_stats()
     std::int64_t late_ns = 0;
     std::int64_t polled = 0;

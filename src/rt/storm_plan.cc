@@ -1,5 +1,6 @@
 #include "rt/storm_plan.h"
 
+#include <chrono>
 #include <string>
 
 #include "sim/check.h"
@@ -50,6 +51,46 @@ StormPlan make_storm_plan(std::uint32_t n_nodes, std::uint32_t ops_per_node,
     }
   }
   return plan;
+}
+
+PlanReplay::PlanReplay(NodeGroup& nodes, const StormPlan& plan,
+                       std::uint32_t concurrency)
+    : nodes_(nodes), plan_(plan), concurrency_(concurrency),
+      loops_(plan.n_nodes) {
+  SIM_CHECK(plan.n_nodes == nodes.size());
+  SIM_CHECK(concurrency >= 1);
+}
+
+void PlanReplay::pump(std::uint32_t i) {
+  Loop& lp = loops_[i];
+  const std::vector<Transaction>& items = plan_.per_node[i];
+  while (lp.inflight < concurrency_ && lp.next < items.size() &&
+         !stop_.load(std::memory_order_relaxed)) {
+    ++lp.inflight;
+    nodes_.node(NodeId(i)).engine().submit(
+        items[lp.next++], [this, i](TxnId, TxnOutcome) {
+          --loops_[i].inflight;
+          pump(i);
+        });
+  }
+  // Nothing in flight after a refill: the share is drained or stopped.
+  if (lp.inflight == 0 && !lp.drained) {
+    lp.drained = true;
+    std::lock_guard<std::mutex> lk(mu_);
+    ++drained_;
+    cv_.notify_all();
+  }
+}
+
+void PlanReplay::wait(Duration max_wall) {
+  std::unique_lock<std::mutex> lk(mu_);
+  const auto all = [this] { return drained_ == loops_.size(); };
+  if (max_wall > Duration::zero() &&
+      !cv_.wait_for(lk, std::chrono::nanoseconds(max_wall.count_nanos()),
+                    all)) {
+    stop();
+  }
+  cv_.wait(lk, all);
 }
 
 }  // namespace opc

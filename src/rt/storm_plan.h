@@ -1,5 +1,5 @@
-// Pre-planned create storms shared by the rt backend and the sim/rt
-// differential test.
+// Pre-planned create storms, and the closed loop that replays them on
+// either backend (the rt storm and the sim/rt differential test).
 //
 // Timing-independent by construction: every transaction (coordinator,
 // participants, object ids, names) is fixed before the run starts, so two
@@ -17,9 +17,13 @@
 // degrade rule, src/acp/protocol.h).
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "mds/namespace.h"
 #include "txn/types.h"
 
@@ -82,5 +86,44 @@ struct StormPlan {
 [[nodiscard]] StormPlan make_storm_plan(std::uint32_t n_nodes,
                                         std::uint32_t ops_per_node,
                                         std::uint32_t participants = 2);
+
+/// Replays a plan as one closed loop per node: `concurrency` transactions
+/// outstanding at node i's engine, each completion issuing the next, until
+/// node i's share is drained or stop() is called — in-flight transactions
+/// then still complete.  Runs on either executor: call start(i) on node
+/// i's executor (the driving thread, for the simulator); node i's loop is
+/// then touched only by its engine's completion callbacks, which run there
+/// too.
+class PlanReplay {
+ public:
+  PlanReplay(NodeGroup& nodes, const StormPlan& plan,
+             std::uint32_t concurrency);
+
+  /// Fills node i's window.
+  void start(std::uint32_t i) { pump(i); }
+  /// Stops issuing new transactions.  Any thread may call it.
+  void stop() { stop_.store(true, std::memory_order_relaxed); }
+  /// Blocks until every loop has drained; with a nonzero `max_wall`,
+  /// stop()s once that much wall time has passed and then waits for the
+  /// drain.  For executors that run on their own threads.
+  void wait(Duration max_wall);
+
+ private:
+  struct alignas(64) Loop {  // one cache line per node's worker
+    std::size_t next = 0;
+    std::uint32_t inflight = 0;
+    bool drained = false;
+  };
+  void pump(std::uint32_t i);
+
+  NodeGroup& nodes_;
+  const StormPlan& plan_;
+  std::uint32_t concurrency_;
+  std::vector<Loop> loops_;
+  std::atomic<bool> stop_{false};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t drained_ = 0;  // loops drained; guarded by mu_
+};
 
 }  // namespace opc

@@ -1,102 +1,16 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
-#include <utility>
-
 namespace opc {
 
-void Simulator::grow_slab() {
-  SIM_CHECK_MSG((chunks_.size() << kChunkShift) <= kSlotMask,
-                "slot space exhausted");
-  chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-  cap_slots_ = static_cast<std::uint32_t>(chunks_.size() << kChunkShift);
-  pos_.resize(cap_slots_);
-}
-
-bool Simulator::cancel(EventHandle h) {
-  if (!h.valid() || h.slot_ >= n_slots_) return false;
-  Slot& sl = slot(h.slot_);
-  // A recycled (or already-fired) slot has a different generation; the
-  // handle is stale and the cancel is a no-op.
-  if (sl.gen != h.gen_) return false;
-  remove_at(pos_[h.slot_]);
-  release(h.slot_);
-  return true;
-}
-
-void Simulator::sift_down(std::size_t pos, HeapNode n) {
-  const std::size_t size = heap_size_;
-  for (;;) {
-    const std::size_t first = pos * kArity + 1;
-    if (first >= size) break;
-    // All four children of `pos` live in group pos+1 — one aligned line.
-    const HeapNode* ch = heap_[pos + 1].n;
-    const std::size_t nch = std::min(kArity, size - first);
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < nch; ++c) {
-      if (before(ch[c], ch[best])) best = c;
-    }
-    if (!before(ch[best], n)) break;
-    node(pos) = ch[best];
-    pos_[slot_of(node(pos))] = static_cast<std::uint32_t>(pos);
-    pos = first + best;
-  }
-  node(pos) = n;
-  pos_[slot_of(n)] = static_cast<std::uint32_t>(pos);
-}
-
-void Simulator::sift_down_from_root(HeapNode n) {
-  const std::size_t size = heap_size_;
-  std::size_t pos = 0;
-  // Pull the min child up at every level without comparing against `n`.
-  for (;;) {
-    const std::size_t first = pos * kArity + 1;
-    if (first >= size) break;
-    const HeapNode* ch = heap_[pos + 1].n;
-    const std::size_t nch = std::min(kArity, size - first);
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < nch; ++c) {
-      if (before(ch[c], ch[best])) best = c;
-    }
-    node(pos) = ch[best];
-    pos_[slot_of(node(pos))] = static_cast<std::uint32_t>(pos);
-    pos = first + best;
-  }
-  // `n` usually belongs at (or next to) the leaf hole; walk it back up the
-  // few levels it overshot.
-  sift_up(pos, n);
-}
-
-void Simulator::remove_at(std::size_t pos) {
-  const HeapNode tail = node(heap_size_ - 1);
-  --heap_size_;
-  if (pos == heap_size_) return;  // removed the tail itself
-  // The substitute may belong either above or below `pos`; exactly one of
-  // these walks moves it (the other is a single comparison).
-  if (pos > 0 && before(tail, node((pos - 1) / kArity))) {
-    sift_up(pos, tail);
-  } else {
-    sift_down(pos, tail);
-  }
-}
-
 void Simulator::dispatch_top() {
-  const HeapNode top = node(0);
-  const HeapNode tail = node(heap_size_ - 1);
-  --heap_size_;
-  if (heap_size_ != 0) sift_down_from_root(tail);
-  now_ = SimTime::from_nanos(top.when_ns);
-  // Move the callback out and recycle the slot *before* invoking: the
-  // callback is free to schedule new events into the slot it occupied.
-  const std::uint32_t s = slot_of(top);
-  Callback cb = std::move(slot(s).cb);
-  release(s);
+  now_ = SimTime::from_nanos(queue_.top_when());
+  Callback cb = queue_.pop();
   ++dispatched_;
   cb();
 }
 
 bool Simulator::step() {
-  if (heap_size_ == 0) return false;
+  if (queue_.empty()) return false;
   dispatch_top();
   return true;
 }
@@ -106,7 +20,7 @@ std::uint64_t Simulator::run() {
   running_ = true;
   stopped_ = false;
   std::uint64_t n = 0;
-  while (!stopped_ && heap_size_ != 0) {
+  while (!stopped_ && !queue_.empty()) {
     dispatch_top();
     ++n;
   }
@@ -121,9 +35,9 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
   stopped_ = false;
   const std::int64_t deadline_ns = deadline.count_nanos();
   std::uint64_t n = 0;
-  // Peek at the root: a too-late head stays queued untouched, so a deadline
+  // Peek at the head: a too-late head stays queued untouched, so a deadline
   // probe at a quiescent boundary costs one comparison, not a pop/re-push.
-  while (!stopped_ && heap_size_ != 0 && node(0).when_ns <= deadline_ns) {
+  while (!stopped_ && !queue_.empty() && queue_.top_when() <= deadline_ns) {
     dispatch_top();
     ++n;
   }

@@ -1,21 +1,10 @@
 // The discrete-event simulation kernel.
 //
-// A Simulator owns an indexed 4-ary min-heap of (time, sequence) ordered
-// events.  Events scheduled for the same instant fire in scheduling order,
-// which — together with the deterministic RNG — makes every simulated
-// history a pure function of its configuration and seed.
-//
-// Hot-path layout (DESIGN.md §9):
-//   * Events live in a slab-allocated pool of fixed-size slots; the heap is
-//     a flat array of 16-byte (when, seq|slot) nodes stored as 64-byte
-//     aligned groups of four siblings, so each level of a 4-ary sift reads
-//     exactly one cache line in ~half the tree height of a binary heap.
-//   * A dense side array maps slot -> heap position (for O(log n) true
-//     removal on cancel — no tombstones); each slot carries a generation
-//     counter (bumped on free, so stale EventHandles can never touch a
-//     recycled slot).
-//   * Callbacks are InlineCallback<void(), 48>: captures up to 48 bytes run
-//     through schedule→dispatch with zero heap allocations.
+// A Simulator runs a clock over an EventQueue (src/sim/event_queue.h) of
+// (time, sequence) ordered events.  Events scheduled for the same instant
+// fire in scheduling order, which — together with the deterministic RNG —
+// makes every simulated history a pure function of its configuration and
+// seed.
 //
 // This replaces the OMNeT++ / ACID Sim Tools substrate the paper used: all
 // modules (network links, disks, lock managers, protocol state machines)
@@ -23,48 +12,17 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
 
 #include "sim/check.h"
-#include "sim/inline_callback.h"
+#include "sim/event_queue.h"
 #include "sim/time.h"
 
 namespace opc {
 
-class Simulator;
-
-/// Identifies a scheduled event so it can be cancelled.  Handles are cheap
-/// value types; cancelling an already-fired or already-cancelled event is a
-/// harmless no-op, which keeps timeout bookkeeping simple for callers.
-/// Internally a handle is (slot index, generation): the slot is recycled
-/// after fire/cancel with its generation bumped, so a stale handle simply
-/// fails the generation check.
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  /// True if this handle was ever bound to a scheduled event.
-  [[nodiscard]] bool valid() const { return gen_ != 0; }
-
- private:
-  friend class Simulator;
-  friend class SimEnv;  // converts to/from the executor-neutral TimerHandle
-  EventHandle(std::uint32_t slot, std::uint32_t gen)
-      : slot_(slot), gen_(gen) {}
-  std::uint32_t slot_ = 0;
-  std::uint32_t gen_ = 0;  // live slot generations are never 0
-};
-
 /// Single-threaded deterministic discrete-event simulator.
 class Simulator {
  public:
-  /// 48 inline bytes: a `this` pointer plus a couple of 64-bit ids and an
-  /// epoch, or a std::function client callback plus an id — every
-  /// high-rate caller in src/net, src/wal and src/acp fits (they
-  /// static_assert it).  Larger captures fall back to one heap allocation.
-  using Callback = InlineCallback<void(), kInlineCallbackBytes>;
+  using Callback = EventQueue::Callback;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -79,15 +37,18 @@ class Simulator {
     return schedule_at(now_ + delay, std::move(cb));
   }
 
-  /// Schedules `cb` to fire at absolute time `when` (>= now()).  Defined
-  /// inline below: schedule sits on the dominant simulation cycle and must
-  /// inline into callers across translation units.
-  EventHandle schedule_at(SimTime when, Callback cb);
+  /// Schedules `cb` to fire at absolute time `when` (>= now()).  Inline:
+  /// schedule sits on the dominant simulation cycle and must inline into
+  /// callers across translation units.
+  EventHandle schedule_at(SimTime when, Callback cb) {
+    SIM_CHECK_MSG(when >= now_, "cannot schedule into the past");
+    return queue_.push(when.count_nanos(), std::move(cb));
+  }
 
   /// Cancels a pending event with true removal from the heap (no tombstone
   /// churn).  No-op if the event already fired or was already cancelled.
   /// Returns true if something was actually cancelled.
-  bool cancel(EventHandle h);
+  bool cancel(EventHandle h) { return queue_.cancel(h); }
 
   /// Runs until the event queue drains or stop() is called.
   /// Returns the number of events dispatched.
@@ -110,176 +71,23 @@ class Simulator {
   void stop() { stopped_ = true; }
 
   /// True when no events remain.
-  [[nodiscard]] bool idle() const { return heap_size_ == 0; }
+  [[nodiscard]] bool idle() const { return queue_.empty(); }
 
   /// Number of events pending dispatch.
-  [[nodiscard]] std::size_t pending_events() const { return heap_size_; }
+  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
   /// Total events dispatched over the simulator's lifetime.
   [[nodiscard]] std::uint64_t dispatched_events() const { return dispatched_; }
 
  private:
-  /// One pooled event.  Slots live in fixed-size chunks (stable addresses,
-  /// so growth never move-relocates callbacks) and are recycled through a
-  /// free list; `gen` is bumped on every release so outstanding handles
-  /// become inert.
-  /// Field order matters: the 56-byte callback first, then the generation
-  /// in its tail padding — sizeof(Slot) is exactly one 64-byte cache line,
-  /// so a dispatch touches one line per slot.  The slot's current heap
-  /// position deliberately does NOT live here: sift loops store it for
-  /// every displaced element, and putting those stores in the dense pos_
-  /// side array (16 entries per cache line) instead of scattered 64-byte
-  /// slots keeps a deep sift's write set inside L1/L2.
-  struct Slot {
-    Callback cb;
-    std::uint32_t gen = 1;
-  };
-  static_assert(sizeof(Slot) <= 64, "Slot must stay within one cache line");
-
-  /// One heap element, 16 bytes so a node's four children are exactly one
-  /// 64-byte cache line.  The sort key (when, seq) is duplicated here so
-  /// the sift loops compare against contiguous heap memory instead of
-  /// chasing slot pointers; seq and the slot index share one word
-  /// (seq in the high 40 bits, slot in the low 24).  Comparing the packed
-  /// word IS comparing seq: sequence numbers are unique, so the slot bits
-  /// never decide.
-  static constexpr unsigned kSlotBits = 24;
-  static constexpr std::uint64_t kSlotMask =
-      (std::uint64_t{1} << kSlotBits) - 1;
-  struct HeapNode {
-    std::int64_t when_ns;
-    std::uint64_t key;  // (seq << kSlotBits) | slot
-  };
-  static constexpr std::uint32_t slot_of(const HeapNode& n) {
-    return static_cast<std::uint32_t>(n.key & kSlotMask);
-  }
-  static bool before(const HeapNode& a, const HeapNode& b) {
-    if (a.when_ns != b.when_ns) return a.when_ns < b.when_ns;
-    return a.key < b.key;
-  }
-
-  // 4-ary heap indexing: children of i are 4i+1..4i+4, parent is (i-1)/4.
-  // Nodes are stored in 64-byte-aligned groups of four with a 3-node front
-  // pad (logical index l lives at physical l+3), which lands every sibling
-  // group {4l+1..4l+4} at physical {4l+4..4l+7} — exactly group l+1, one
-  // aligned cache line.  A sift level therefore reads one line, not two.
-  struct alignas(64) HeapGroup {
-    HeapNode n[4];
-  };
-  static constexpr std::size_t kHeapPad = 3;
-  [[nodiscard]] HeapNode& node(std::size_t l) {
-    const std::size_t p = l + kHeapPad;
-    return heap_[p >> 2].n[p & 3];
-  }
-  [[nodiscard]] const HeapNode& node(std::size_t l) const {
-    const std::size_t p = l + kHeapPad;
-    return heap_[p >> 2].n[p & 3];
-  }
-  static constexpr std::size_t kArity = 4;
-  // 256 slots (16KB) per chunk: large enough that growth is rare, small
-  // enough that a freshly constructed Simulator's first schedule — which
-  // builds one whole chunk — stays cheap.  Short-lived simulators matter:
-  // the chaos explorer spins up thousands of them.
-  static constexpr std::size_t kChunkShift = 8;
-  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
-
-  [[nodiscard]] Slot& slot(std::uint32_t s) {
-    return chunks_[s >> kChunkShift][s & (kChunkSize - 1)];
-  }
-  /// Takes a slot from the free list, growing the slab by a chunk if empty.
-  std::uint32_t acquire_slot() {
-    if (!free_.empty()) {
-      const std::uint32_t s = free_.back();
-      free_.pop_back();
-      return s;
-    }
-    if (n_slots_ == cap_slots_) grow_slab();
-    return n_slots_++;
-  }
-  void grow_slab();  // cold path: appends one chunk
-  /// Returns the slot to the pool: destroys its callback, bumps the
-  /// generation, pushes it on the free list.
-  void release(std::uint32_t s) {
-    Slot& sl = slot(s);
-    sl.cb.reset();
-    ++sl.gen;
-    free_.push_back(s);
-  }
-
-  /// Places `n` at `pos`, walking it toward the root/leaves as needed; both
-  /// update pos_ for every displaced element.
-  void sift_up(std::size_t pos, HeapNode n) {
-    if (pos == heap_size_) {
-      if (heap_size_ + kHeapPad + 1 > heap_.size() * kArity) {
-        heap_.emplace_back();
-      }
-      ++heap_size_;
-    }
-    while (pos > 0) {
-      const std::size_t parent = (pos - 1) / kArity;
-      if (!before(n, node(parent))) break;
-      node(pos) = node(parent);
-      pos_[slot_of(node(pos))] = static_cast<std::uint32_t>(pos);
-      pos = parent;
-    }
-    node(pos) = n;
-    pos_[slot_of(n)] = static_cast<std::uint32_t>(pos);
-  }
-  void sift_down(std::size_t pos, HeapNode n);
-  /// sift_down specialised for root removal: the substitute comes from the
-  /// tail, so it almost always belongs back near the leaves.  Descending
-  /// the min-child path first (no compare against `n`) and then nudging
-  /// `n` up saves one comparison per level over the classic walk.
-  void sift_down_from_root(HeapNode n);
-  /// Removes heap_[pos] by re-sifting the tail element into its place.
-  void remove_at(std::size_t pos);
-  /// Pops the heap root and runs its callback (clock advanced first).
+  /// Pops the queue's head and runs its callback (clock advanced first).
   void dispatch_top();
 
-  std::vector<std::unique_ptr<Slot[]>> chunks_;  // the slab
-  std::vector<HeapGroup> heap_;                  // 4-ary min-heap (padded)
-  std::size_t heap_size_ = 0;                    // logical node count
-  std::vector<std::uint32_t> pos_;               // slot -> heap index
-  std::vector<std::uint32_t> free_;              // recycled slot indices
-  std::uint32_t n_slots_ = 0;                    // slots ever handed out
-  std::uint32_t cap_slots_ = 0;                  // chunks_.size() * kChunkSize
+  EventQueue queue_;
   SimTime now_ = SimTime::zero();
-  std::uint64_t next_seq_ = 1;
   std::uint64_t dispatched_ = 0;
   bool stopped_ = false;
   bool running_ = false;
-};
-
-inline EventHandle Simulator::schedule_at(SimTime when, Callback cb) {
-  SIM_CHECK_MSG(when >= now_, "cannot schedule into the past");
-  SIM_CHECK(cb != nullptr);
-  SIM_CHECK_MSG(next_seq_ < (std::uint64_t{1} << (64 - kSlotBits)),
-                "sequence space exhausted");
-  const std::uint32_t s = acquire_slot();
-  Slot& sl = slot(s);
-  sl.cb = std::move(cb);
-  sift_up(heap_size_,
-          HeapNode{when.count_nanos(), (next_seq_++ << kSlotBits) | s});
-  return EventHandle{s, sl.gen};
-}
-
-/// Base class for named simulation participants (metadata servers, disks,
-/// clients...).  Provides the shared clock and a stable display name.
-class Actor {
- public:
-  Actor(Simulator& sim, std::string name) : sim_(&sim), name_(std::move(name)) {}
-  virtual ~Actor() = default;
-
-  Actor(const Actor&) = delete;
-  Actor& operator=(const Actor&) = delete;
-
-  [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] Simulator& sim() const { return *sim_; }
-  [[nodiscard]] SimTime now() const { return sim_->now(); }
-
- private:
-  Simulator* sim_;
-  std::string name_;
 };
 
 }  // namespace opc

@@ -4,7 +4,7 @@
 // aborts, lock waits…) funnels through a StatsRegistry so the Table I bench
 // can read back exact counts without the protocol code knowing who consumes
 // them.  Names are hierarchical by convention: "acp.msgs.total",
-// "wal.force.count", "lock.timeout_aborts".
+// "wal.force.count", "lock.timeouts".
 #pragma once
 
 #include <cstdint>

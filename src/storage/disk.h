@@ -87,7 +87,6 @@ class Disk {
     SIM_CHECK(factor > 0.0);
     degrade_factor_ = factor;
   }
-  [[nodiscard]] double degrade_factor() const { return degrade_factor_; }
 
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
   [[nodiscard]] bool busy() const { return in_service_; }

@@ -49,7 +49,6 @@ class HistoryRecorder {
     });
   }
 
-  [[nodiscard]] std::size_t access_count() const { return accesses_.size(); }
   /// Raw access log (debugging failing histories).
   [[nodiscard]] const std::vector<Access>& accesses() const {
     return accesses_;

@@ -41,19 +41,6 @@ bool get_u64(const std::vector<std::uint8_t>& b, std::size_t& o, std::uint64_t& 
 
 }  // namespace
 
-const char* op_type_name(OpType t) {
-  switch (t) {
-    case OpType::kCreateInode: return "CreateInode";
-    case OpType::kRemoveInode: return "RemoveInode";
-    case OpType::kIncLink: return "IncLink";
-    case OpType::kDecLink: return "DecLink";
-    case OpType::kAddDentry: return "AddDentry";
-    case OpType::kRemoveDentry: return "RemoveDentry";
-    case OpType::kSetAttr: return "SetAttr";
-  }
-  return "?";
-}
-
 const char* namespace_op_name(NamespaceOpKind k) {
   switch (k) {
     case NamespaceOpKind::kCreate: return "CREATE";

@@ -48,8 +48,6 @@ enum class OpType : std::uint8_t {
   kSetAttr = 7,       // target = inode id (attribute touch)
 };
 
-[[nodiscard]] const char* op_type_name(OpType t);
-
 /// One metadata method at one MDS.
 struct Operation {
   OpType type = OpType::kSetAttr;

@@ -5,11 +5,11 @@
 // participant set up front (storm_plan.h), so the final state is a pure
 // function of the plan, not of timing; only timing-dependent measurements
 // (latency, wall clock, retry counters) are excluded from the comparison
-// (docs/RUNTIME.md §5).
+// (docs/RUNTIME.md §5).  Both sides drive the plan with the one PlanReplay
+// loop, so the differential compares one driver on two executors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -47,7 +47,9 @@ std::vector<Dentry> collect_dentries(
   return out;
 }
 
-Outcome run_on_sim(ProtocolKind proto, const StormPlan& plan) {
+// A nonzero `deadline` stops the loop issuing at that simulated time.
+Outcome run_on_sim(ProtocolKind proto, const StormPlan& plan,
+                   Duration deadline = Duration::zero()) {
   Simulator sim;
   StatsRegistry stats;
   TraceRecorder trace(false);
@@ -58,26 +60,11 @@ Outcome run_on_sim(ProtocolKind proto, const StormPlan& plan) {
   for (std::uint32_t i = 0; i < plan.n_nodes; ++i) {
     cluster.bootstrap_directory(plan.dirs[i], NodeId(i));
   }
-
-  // The same closed loop RtCluster runs, on virtual time: `kConcurrency`
-  // outstanding per node, refilled from each completion callback.
-  struct Loop {
-    std::size_t next = 0;
-    std::uint32_t inflight = 0;
-  };
-  std::vector<Loop> loops(plan.n_nodes);
-  std::function<void(std::uint32_t)> pump = [&](std::uint32_t i) {
-    Loop& lp = loops[i];
-    while (lp.inflight < kConcurrency && lp.next < plan.per_node[i].size()) {
-      ++lp.inflight;
-      Transaction txn = plan.per_node[i][lp.next++];
-      cluster.submit(std::move(txn), [&pump, &loops, i](TxnId, TxnOutcome) {
-        --loops[i].inflight;
-        pump(i);
-      });
-    }
-  };
-  for (std::uint32_t i = 0; i < plan.n_nodes; ++i) pump(i);
+  PlanReplay replay(cluster.nodes(), plan, kConcurrency);
+  for (std::uint32_t i = 0; i < plan.n_nodes; ++i) replay.start(i);
+  if (deadline > Duration::zero()) {
+    sim.schedule_after(deadline, [&replay] { replay.stop(); });
+  }
   sim.run();
 
   Outcome out;
@@ -91,7 +78,8 @@ Outcome run_on_sim(ProtocolKind proto, const StormPlan& plan) {
   return out;
 }
 
-Outcome run_on_rt(ProtocolKind proto, const StormPlan& plan) {
+Outcome run_on_rt(ProtocolKind proto, const StormPlan& plan,
+                  Duration max_wall = Duration::zero()) {
   RtClusterConfig cfg;
   cfg.n_nodes = plan.n_nodes;
   cfg.protocol = proto;
@@ -102,7 +90,7 @@ Outcome run_on_rt(ProtocolKind proto, const StormPlan& plan) {
   for (std::uint32_t i = 0; i < plan.n_nodes; ++i) {
     cluster.bootstrap_directory(plan.dirs[i], NodeId(i));
   }
-  RtCluster::StormResult res = cluster.run_storm(plan, kConcurrency);
+  RtCluster::StormResult res = cluster.run_storm(plan, kConcurrency, max_wall);
   EXPECT_GT(res.stats.get("rt.timer.fired"), 0)
       << "RtEnv's dispatch counters must reach the storm's stats";
 
@@ -157,6 +145,10 @@ TEST(RtEquivalenceTest, OnePhaseCommit) {
   expect_equivalent(ProtocolKind::kOnePC);
 }
 
+TEST(RtEquivalenceTest, PresumedAbort) {
+  expect_equivalent(ProtocolKind::kPrA);
+}
+
 // Three-participant storms (ISSUE 10): every transaction spans the
 // coordinator plus two distinct worker nodes on a 3-node cluster.  Same
 // contract — identical totals and an identical stable namespace across the
@@ -176,6 +168,27 @@ TEST(RtEquivalenceTest, EarlyPrepareThreeParticipants) {
 
 TEST(RtEquivalenceTest, OnePhaseCommitThreeParticipants) {
   expect_equivalent(ProtocolKind::kOnePC, /*nodes=*/3, /*participants=*/3);
+}
+
+TEST(RtEquivalenceTest, PresumedAbortThreeParticipants) {
+  expect_equivalent(ProtocolKind::kPrA, /*nodes=*/3, /*participants=*/3);
+}
+
+// A plan far longer than the deadline allows: the loop stops issuing at
+// the deadline, in-flight transactions drain, and what committed forms a
+// consistent namespace — on both executors.
+TEST(RtEquivalenceTest, DeadlineStopsIssuingThenDrains) {
+  constexpr std::uint32_t kOps = 20000;
+  const StormPlan plan = make_storm_plan(kNodes, kOps);
+  const Duration deadline = Duration::millis(100);
+  for (const Outcome& o : {run_on_sim(ProtocolKind::kOnePC, plan, deadline),
+                           run_on_rt(ProtocolKind::kOnePC, plan, deadline)}) {
+    EXPECT_GT(o.committed, 0u);
+    EXPECT_LT(o.committed, std::uint64_t{kNodes} * kOps);
+    EXPECT_EQ(o.aborted, 0u);
+    EXPECT_EQ(o.invariant_violations, 0u);
+    EXPECT_EQ(o.dentries.size(), o.committed);
+  }
 }
 
 }  // namespace

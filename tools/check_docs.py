@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
 """Docs drift gate (CI `docs` job).
 
-Three checks, all grep-based and dependency-free:
+Four checks, all grep-based and dependency-free:
 
  1. Every TraceKind enumerator (src/sim/trace.h) and every PhaseId
     enumerator (src/obs/phase.h) must appear in docs/OBSERVABILITY.md.
  2. Every counter name passed as a string literal to StatsRegistry
-    add()/set() anywhere under src/ must appear in docs/OBSERVABILITY.md.
-    Names built by concatenation ("disk." + name_ + ".writes") become
-    wildcard patterns ("disk.*.writes") that must appear verbatim.
- 3. Every relative markdown link in the repo's *.md files must point at an
+    add()/set() anywhere under src/ or tools/ must appear in
+    docs/OBSERVABILITY.md.  Names built by concatenation
+    ("disk." + name_ + ".writes") become wildcard patterns
+    ("disk.*.writes") that must appear verbatim.
+ 3. The reverse: every counter name that §4 of docs/OBSERVABILITY.md lists
+    must be spelled out by a string literal in src/ or tools/ (or be a
+    `mem.` field of src/core/mem_stats.h).
+ 4. Every relative markdown link in the repo's *.md files must point at an
     existing file.
 
-`--self-test` proves the gate actually bites: it re-runs check 2 against a
-copy of the docs with one documented counter deleted and fails unless the
-checker reports it.  CI runs both modes, so a TraceKind or counter landing
-without documentation turns the docs job red.
+`--self-test` proves the gate actually bites: it re-runs checks 2 and 3
+against copies of the docs with one documented counter deleted and with
+one dead name planted, and fails unless the checker reports each.  CI
+runs both modes, so a TraceKind or counter landing without documentation,
+or a counter the code dropped, turns the docs job red.
 """
 
 import argparse
@@ -67,11 +72,16 @@ def split_call_arg(text, start):
     return ""
 
 
+def cpp_sources():
+    return [p for d in ("src", "tools") for ext in ("*.cc", "*.h")
+            for p in sorted((REPO / d).rglob(ext))]
+
+
 def extract_counters():
-    """Counter-name patterns from every .add("...")/.set("...") in src/."""
+    """Counter-name patterns from every .add("...")/.set("...") in src/ and
+    tools/."""
     patterns = set()
-    for path in sorted((REPO / "src").rglob("*.cc")) + sorted(
-            (REPO / "src").rglob("*.h")):
+    for path in cpp_sources():
         text = path.read_text()
         for m in re.finditer(r"\.(?:add|set)\(", text):
             arg = split_call_arg(text, m.end() - 1)
@@ -112,6 +122,32 @@ def check_names_documented(names, doc_text, what):
             for n in names if n not in doc_text]
 
 
+def check_documented_emitted(doc_text):
+    """§4 names that no string literal in src/ or tools/ spells out.  A
+    wildcard name counts when literals spell its fixed pieces or one of its
+    instances; a prose example ("disk.log.mds0.writes") counts when its
+    wildcard family does."""
+    sec = re.search(r"^## 4\..*?(?=^## 5\.)", doc_text, re.S | re.M)
+    if not sec:
+        fail([f"{OBS_DOC.relative_to(REPO)}: section 4 not found"])
+    documented = {n for n in re.findall(r"`([^`]+)`", sec.group(0))
+                  if COUNTER_RE.match(n.replace("*", "x"))}
+    lits = set()
+    for path in cpp_sources():
+        text = re.sub(r"//[^\n]*|/\*.*?\*/", "", path.read_text(), flags=re.S)
+        lits.update(re.findall(r'"((?:[^"\\]|\\.)*)"', text))
+    mem = (REPO / "src/core/mem_stats.h").read_text()
+    lits |= {"mem." + f for f in re.findall(r"std::atomic<[^>]*>\s+(\w+)\{", mem)}
+    families = []
+    for n in (n for n in documented if "*" in n):
+        fam = re.compile(re.escape(n).replace(r"\*", ".+") + "$")
+        if all(p in lits for p in n.split("*") if p) or any(map(fam.match, lits)):
+            families.append(fam)
+    return [f"counter '{n}' is documented in {OBS_DOC.relative_to(REPO)} §4 "
+            "but emitted nowhere in src/ or tools/" for n in sorted(documented)
+            if n not in lits and not any(f.match(n) for f in families)]
+
+
 def check_markdown_links():
     errors = []
     md_files = sorted(REPO.glob("*.md")) + sorted(REPO.glob("docs/*.md"))
@@ -139,11 +175,13 @@ def run_checks(doc_text):
     errors += check_names_documented(trace_kinds, doc_text, "TraceKind")
     errors += check_names_documented(phase_ids, doc_text, "PhaseId")
     errors += check_names_documented(extract_counters(), doc_text, "counter")
+    errors += check_documented_emitted(doc_text)
     return errors
 
 
 def self_test():
-    """The gate must fail when a documented counter disappears from docs."""
+    """The gate must fail when a documented counter disappears from docs,
+    and when the docs list a counter nothing emits."""
     doc_text = OBS_DOC.read_text()
     if run_checks(doc_text):
         fail(["self-test needs a clean baseline; fix the docs first"])
@@ -153,14 +191,20 @@ def self_test():
     if not any(victim in e for e in missing):
         fail([f"self-test: deleting '{victim}' from the docs was NOT "
               "detected — the checker is toothless"])
-    print(f"self-test ok: removing '{victim}' from docs is detected "
-          f"({len(missing)} error(s) reported)")
+    dead = "lock.self_test_dead"
+    mutated = doc_text.replace("`lock.timeouts`", f"`lock.timeouts`, `{dead}`")
+    if not any(dead in e for e in run_checks(mutated)):
+        fail([f"self-test: documenting the dead counter '{dead}' was NOT "
+              "detected — the reverse check is toothless"])
+    print(f"self-test ok: deleting '{victim}' and documenting '{dead}' "
+          "are both detected")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--self-test", action="store_true",
-                    help="prove the checker fails on an undocumented name")
+                    help="prove the checker fails on an undocumented name "
+                    "and on a dead documented one")
     args = ap.parse_args()
 
     if not OBS_DOC.exists():
